@@ -1,10 +1,12 @@
 """Gate and circuit data model plus the scheduling metrics.
 
 A gate is a named application of a fixed vocabulary to distinct wires; for
-controlled kinds the controls come first and the target last. A circuit
-owns ``n_main`` working qubits followed by ``n_anc`` ancilla qubits; the
-ancillas are promised to start in |0> and be returned to |0> (the simulator
-enforces this when extracting the induced operator).
+controlled kinds the controls come first and the target last. `GATES` is
+the one table of gate kinds: arity, inverse, T and Clifford flags, and the
+monomial action that the simulator compiles and the rewriter checks. A
+circuit owns ``n_main`` working qubits followed by ``n_anc`` ancilla
+qubits; the ancillas are promised to start in |0> and be returned to |0>
+(the simulator enforces this when extracting the induced operator).
 
 Metrics, all pure functions of the gate list:
 
@@ -26,34 +28,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-GATE_ARITY: dict[str, int] = {
-    "x": 1,
-    "y": 1,
-    "z": 1,
-    "h": 1,
-    "s": 1,
-    "sdg": 1,
-    "t": 1,
-    "tdg": 1,
-    "cx": 2,
-    "cz": 2,
-    "cs": 2,
-    "csdg": 2,
-    "swap": 2,
-    "ccx": 3,
-    "ccz": 3,
+ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+@dataclass(frozen=True, slots=True)
+class GateKind:
+    """Everything the library knows about one gate kind.
+
+    ``action`` describes a monomial gate (one that sends each basis state
+    to one basis state times an eighth root of unity) as steps over the
+    gate's own wires, applied in order. A step (controls, flips, e) acts on
+    the basis states whose control wires all hold 1: it multiplies them by
+    omega^e and then flips the flip wires. Controls and flips are positions
+    in the gate's qubit tuple and never overlap. ``action`` is None for a
+    gate that is not monomial.
+    """
+
+    arity: int
+    inverse: str
+    is_t: bool
+    is_clifford: bool
+    action: tuple[ActionStep, ...] | None
+
+
+_CX: ActionStep = ((0,), (1,), 0)
+
+# GateKind(arity, inverse, is_t, is_clifford, action). Clifford kinds map
+# Pauli strings to signed Pauli strings under conjugation; y is omega^2,
+# then z, then x; swap is three cx.
+GATES: dict[str, GateKind] = {
+    "x": GateKind(1, "x", False, True, (((), (0,), 0),)),
+    "y": GateKind(1, "y", False, True, (((), (), 2), ((0,), (), 4), ((), (0,), 0))),
+    "z": GateKind(1, "z", False, True, (((0,), (), 4),)),
+    "h": GateKind(1, "h", False, True, None),
+    "s": GateKind(1, "sdg", False, True, (((0,), (), 2),)),
+    "sdg": GateKind(1, "s", False, True, (((0,), (), 6),)),
+    "t": GateKind(1, "tdg", True, False, (((0,), (), 1),)),
+    "tdg": GateKind(1, "t", True, False, (((0,), (), 7),)),
+    "cx": GateKind(2, "cx", False, True, (_CX,)),
+    "cz": GateKind(2, "cz", False, True, (((0, 1), (), 4),)),
+    "cs": GateKind(2, "csdg", False, False, (((0, 1), (), 2),)),
+    "csdg": GateKind(2, "cs", False, False, (((0, 1), (), 6),)),
+    "swap": GateKind(2, "swap", False, True, (_CX, ((1,), (0,), 0), _CX)),
+    "ccx": GateKind(3, "ccx", False, False, (((0, 1), (2,), 0),)),
+    "ccz": GateKind(3, "ccz", False, False, (((0, 1, 2), (), 4),)),
 }
 
-T_KINDS = frozenset({"t", "tdg"})
-
-# Gates whose conjugation action maps Pauli strings to signed Pauli strings.
-CLIFFORD_KINDS = frozenset({"x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"})
-
-_INVERSE_KIND = {"t": "tdg", "tdg": "t", "s": "sdg", "sdg": "s", "cs": "csdg", "csdg": "cs"}
-
-
-def inverse_kind(kind: str) -> str:
-    return _INVERSE_KIND.get(kind, kind)
+GATE_ARITY: dict[str, int] = {kind: spec.arity for kind, spec in GATES.items()}
 
 
 @dataclass(frozen=True)
@@ -78,10 +99,10 @@ class Gate:
 
     @property
     def is_t(self) -> bool:
-        return self.kind in T_KINDS
+        return GATES[self.kind].is_t
 
     def inverse(self) -> Gate:
-        return Gate(inverse_kind(self.kind), self.qubits)
+        return Gate(GATES[self.kind].inverse, self.qubits)
 
     def __str__(self) -> str:
         return " ".join((self.kind, *map(str, self.qubits)))

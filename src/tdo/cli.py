@@ -25,7 +25,7 @@ from .constructions import (
 from .obstruction import obstruction_verdict
 from .rewriter import NotAlmostClassical, rewrite_budgeted
 from .ring import render_real
-from .sim import AncillaContractViolated, TooWide, WidthMismatch, equivalence_phase
+from .sim import AncillaContractViolated, TooWide, equivalence_phase
 from .text import SourceError, emit, parse
 
 _BUILTIN_CIRCUITS = {
@@ -46,6 +46,15 @@ def _read_circuit(path: str) -> Circuit:
             source = handle.read()
     except OSError as exc:
         raise _CliFailure(2, {"message": f"cannot read {path}: {exc.strerror}"})
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(
+            1,
+            {
+                "message": f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                f"at offset {exc.start}",
+                "file": path,
+            },
+        )
     try:
         return parse(source)
     except SourceError as exc:
@@ -115,7 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     c2 = _read_circuit(args.file2)
     try:
         phase = equivalence_phase(c1, c2)
-    except WidthMismatch as exc:
+    except ValueError as exc:
+        # WidthMismatch, TooWide and a non-integer TDO_MAX_QUBITS.
         raise _CliFailure(1, {"message": str(exc)})
     except AncillaContractViolated as exc:
         raise _CliFailure(1, {"message": str(exc), "basis_input": exc.basis_input})

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .circuit import CLIFFORD_KINDS, Circuit, Gate, T_KINDS
-from .ring import RealValue, RingScalar, ratio_is_rational
-from .sim import DEFAULT_STATE_CAP, ExactState, INV_SQRT2, TooWide, ZERO, _cap, apply_circuit
+from .circuit import GATES, Circuit, Gate
+from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
+from .sim import DEFAULT_STATE_CAP, ExactState, TooWide, _cap, apply_circuit
 
 NO_TDEPTH1 = "no-tdepth1-possible"
 INCONCLUSIVE = "inconclusive"
@@ -94,7 +94,7 @@ def split_tdepth1(c: Circuit) -> SplitCircuit:
     post: list[Gate] = []
     phase = 0  # 0: pre, 1: inside T block, 2: post
     for position, gate in enumerate(c.gates):
-        if gate.kind in T_KINDS:
+        if gate.is_t:
             if phase == 2:
                 raise NotTDepthOneShape(position, "second T stage")
             phase = 1
@@ -102,7 +102,7 @@ def split_tdepth1(c: Circuit) -> SplitCircuit:
             if any(q == qubit for q, _ in layer):
                 raise NotTDepthOneShape(position, f"qubit {qubit} repeated in the T block")
             layer.append((qubit, gate.kind))
-        elif gate.kind in CLIFFORD_KINDS:
+        elif GATES[gate.kind].is_clifford:
             if phase == 1:
                 phase = 2
             (pre if phase == 0 else post).append(gate)
@@ -164,7 +164,7 @@ def _combine_pair(
 
 def conjugate_clifford(p: PauliString, g: Gate) -> PauliString:
     """g^dagger p g for a Clifford gate, by tableau update rules."""
-    if g.kind not in CLIFFORD_KINDS:
+    if not GATES[g.kind].is_clifford:
         raise NotClifford(f"{g.kind!r} is not in the Clifford vocabulary")
     letters = list(p.letters)
     sign = p.sign

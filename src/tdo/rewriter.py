@@ -27,10 +27,7 @@ shared ancilla pool yields T-depth at most S with a pool of ceil(t/S).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .circuit import Circuit, Gate, T_KINDS, invert_gates, t_count
-from .sim import gate_matrix, is_almost_classical
+from .circuit import GATES, Circuit, Gate, invert_gates, t_count
 
 
 class NotAlmostClassical(Exception):
@@ -44,18 +41,9 @@ class NotAlmostClassical(Exception):
         self.position = position
 
 
-@lru_cache(maxsize=None)
-def _kind_is_monomial(kind: str) -> bool:
-    return is_almost_classical(gate_matrix(kind))
-
-
 def validate_gateset(c: Circuit) -> list[int]:
-    """Positions of non-T gates with non-monomial matrices; empty iff rewritable."""
-    return [
-        i
-        for i, gate in enumerate(c.gates)
-        if gate.kind not in T_KINDS and not _kind_is_monomial(gate.kind)
-    ]
+    """Positions of gates with non-monomial matrices; empty iff rewritable."""
+    return [i for i, gate in enumerate(c.gates) if GATES[gate.kind].action is None]
 
 
 def _rewrite_segment(
@@ -67,7 +55,7 @@ def _rewrite_segment(
     remainder: list[Gate] = []
     used = 0
     for gate in gates:
-        if gate.kind in T_KINDS:
+        if gate.is_t:
             ancilla = pool[used]
             used += 1
             prefix.append(Gate("cx", (gate.qubits[0], ancilla)))
@@ -106,12 +94,12 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     segment: list[Gate] = []
     seen_t = 0
     for gate in c.gates:
-        if gate.kind in T_KINDS and seen_t == quota:
+        if gate.is_t and seen_t == quota:
             out.extend(_rewrite_segment(tuple(segment), pool))
             segment = []
             seen_t = 0
         segment.append(gate)
-        if gate.kind in T_KINDS:
+        if gate.is_t:
             seen_t += 1
     out.extend(_rewrite_segment(tuple(segment), pool))
     return Circuit(c.n_main, c.n_anc + quota, tuple(out))

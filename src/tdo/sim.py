@@ -7,10 +7,27 @@ amplitudes internally (most circuits here are permutation+phase and keep
 basis inputs on a single branch); `amplitudes` materialises the dense
 vector on demand.
 
+The kernel compiles a circuit once per call into one step per gate: a
+monomial gate becomes the bitmask moves (control mask, flip mask, omega
+exponent) of its `GATES` action, and h keeps the bit of its wire. While a
+circuit runs, a state is a dict from basis index to four Python ints
+(a, b, c, d) over one shared denominator exponent k, meaning
+(a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k. A phase omega^e is a
+signed rotation of the four ints; h adds and subtracts amplitude pairs and
+raises k by one, after which the whole state is divided by sqrt2 for as
+long as every amplitude allows it. RingScalar values are built only when
+the run ends, and their constructor normalises each amplitude, so results
+are canonical whatever k the run held. Nothing rounds.
+
+Operators are extracted column by column over basis inputs. When the
+compiled circuit has no h, each column is one (index, omega exponent) pair
+of ints; otherwise each column runs through `apply_circuit`.
+
 Width caps guard the dense entry points: full-unitary extraction defaults
-to 10 qubits and state simulation to 12, both overridable per call or via
-the TDO_MAX_QUBITS environment variable. Induced-unitary extraction runs
-columnwise over main-register basis inputs and is not capped.
+to 10 qubits, state simulation to 12 qubits, and induced-unitary
+extraction, which builds a 2^n_main square matrix, to 12 main qubits. The
+TDO_MAX_QUBITS environment variable overrides the defaults, and
+`unitary_of` and the obstruction test also take a per-call cap.
 """
 
 from __future__ import annotations
@@ -19,8 +36,8 @@ import os
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
-from .circuit import GATE_ARITY, Circuit, Gate
-from .ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, ONE, ZERO, RingScalar, omega_pow
+from .circuit import GATES, Circuit, Gate
+from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_STATE_CAP = 12
 DEFAULT_UNITARY_CAP = 10
@@ -48,71 +65,127 @@ def _cap(explicit: int | None, default: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("TDO_MAX_QUBITS")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TDO_MAX_QUBITS must be an integer, got {env!r}") from None
 
 
-_PHASES = {
-    "z": MINUS_ONE,
-    "s": IM,
-    "sdg": -IM,
-    "t": OMEGA,
-    "tdg": OMEGA.conjugate(),
-}
+# A compiled gate is (h bit, moves): a nonzero h bit is a Hadamard on that
+# wire; otherwise each move (control mask, flip mask, omega exponent) acts
+# in order on the basis indices that hold every control bit.
+Move = tuple[int, int, int]
+CompiledGate = tuple[int, tuple[Move, ...]]
+
+# omega^e * (a + b*omega + c*omega^2 + d*omega^3), using omega^4 = -1.
+_ROTATE = (
+    lambda a, b, c, d: (a, b, c, d),
+    lambda a, b, c, d: (-d, a, b, c),
+    lambda a, b, c, d: (-c, -d, a, b),
+    lambda a, b, c, d: (-b, -c, -d, a),
+    lambda a, b, c, d: (-a, -b, -c, -d),
+    lambda a, b, c, d: (d, -a, -b, -c),
+    lambda a, b, c, d: (c, d, -a, -b),
+    lambda a, b, c, d: (b, c, d, -a),
+)
+
+_OMEGA_POWERS = tuple(omega_pow(e) for e in range(8))
+
+_ZERO_COEFFS = (0, 0, 0, 0)
 
 
-def _accumulate(out: dict[int, RingScalar], index: int, value: RingScalar) -> None:
-    held = out.get(index)
-    out[index] = value if held is None else held + value
+def _compile(c: Circuit) -> list[CompiledGate]:
+    """One step per gate, with qubit positions turned into basis-index bits."""
+    n = c.width
+    steps = []
+    for gate in c.gates:
+        bits = [1 << (n - 1 - q) for q in gate.qubits]
+        action = GATES[gate.kind].action
+        if action is None:  # h, the one kind that is not monomial
+            steps.append((bits[0], ()))
+        else:
+            steps.append((0, tuple(
+                (sum(bits[p] for p in controls), sum(bits[p] for p in flips), e & 7)
+                for controls, flips, e in action
+            )))
+    return steps
 
 
-def _apply_gate(amps: dict[int, RingScalar], gate: Gate, n: int) -> dict[int, RingScalar]:
-    kind = gate.kind
-    qs = gate.qubits
-    if kind == "cx":
-        cbit = 1 << (n - 1 - qs[0])
-        tbit = 1 << (n - 1 - qs[1])
-        return {(i ^ tbit if i & cbit else i): v for i, v in amps.items()}
-    if kind in _PHASES:
-        bit = 1 << (n - 1 - qs[0])
-        phase = _PHASES[kind]
-        return {i: (v * phase if i & bit else v) for i, v in amps.items()}
-    if kind == "h":
-        bit = 1 << (n - 1 - qs[0])
-        out: dict[int, RingScalar] = {}
+def _move(amps: dict[int, tuple], cmask: int, fmask: int, e: int) -> dict[int, tuple]:
+    if e:
+        rotate = _ROTATE[e]
+        out = dict(amps)
         for i, v in amps.items():
-            w = v * INV_SQRT2
-            _accumulate(out, i & ~bit, w)
-            _accumulate(out, i | bit, -w if i & bit else w)
-        return {i: v for i, v in out.items() if v}
-    if kind == "x":
-        bit = 1 << (n - 1 - qs[0])
-        return {i ^ bit: v for i, v in amps.items()}
-    if kind == "y":
-        bit = 1 << (n - 1 - qs[0])
-        return {i ^ bit: (v * (-IM) if i & bit else v * IM) for i, v in amps.items()}
-    if kind == "cz":
-        mask = (1 << (n - 1 - qs[0])) | (1 << (n - 1 - qs[1]))
-        return {i: (-v if i & mask == mask else v) for i, v in amps.items()}
-    if kind in ("cs", "csdg"):
-        mask = (1 << (n - 1 - qs[0])) | (1 << (n - 1 - qs[1]))
-        phase = IM if kind == "cs" else -IM
-        return {i: (v * phase if i & mask == mask else v) for i, v in amps.items()}
-    if kind == "swap":
-        abit = 1 << (n - 1 - qs[0])
-        bbit = 1 << (n - 1 - qs[1])
-        both = abit | bbit
-        return {
-            (i ^ both if bool(i & abit) != bool(i & bbit) else i): v
-            for i, v in amps.items()
-        }
-    if kind == "ccx":
-        cmask = (1 << (n - 1 - qs[0])) | (1 << (n - 1 - qs[1]))
-        tbit = 1 << (n - 1 - qs[2])
-        return {(i ^ tbit if i & cmask == cmask else i): v for i, v in amps.items()}
-    if kind == "ccz":
-        mask = (1 << (n - 1 - qs[0])) | (1 << (n - 1 - qs[1])) | (1 << (n - 1 - qs[2]))
-        return {i: (-v if i & mask == mask else v) for i, v in amps.items()}
-    raise ValueError(f"unsupported gate kind {kind!r}")
+            if i & cmask == cmask:
+                out[i] = rotate(*v)
+        amps = out
+    if fmask:
+        if cmask:
+            amps = {(i ^ fmask if i & cmask == cmask else i): v for i, v in amps.items()}
+        else:
+            amps = {i ^ fmask: v for i, v in amps.items()}
+    return amps
+
+
+def _hadamard(amps: dict[int, tuple], bit: int) -> dict[int, tuple]:
+    """H on one wire, without its 1/sqrt2: the caller raises k by one."""
+    out = {}
+    get = amps.get
+    for i, v in amps.items():
+        if i & bit:
+            partner = i ^ bit
+            if partner in amps:
+                continue  # handled with its partner
+            a, b, c, d = v
+            out[partner] = v
+            out[i] = (-a, -b, -c, -d)
+        else:
+            partner = i | bit
+            w = get(partner)
+            if w is None:
+                out[i] = out[partner] = v
+                continue
+            a, b, c, d = v
+            p, q, r, s = w
+            total = (a + p, b + q, c + r, d + s)
+            if total != _ZERO_COEFFS:
+                out[i] = total
+            difference = (a - p, b - q, c - r, d - s)
+            if difference != _ZERO_COEFFS:
+                out[partner] = difference
+    return out
+
+
+def _halved(amps: dict[int, tuple]) -> dict[int, tuple] | None:
+    """Every amplitude divided by sqrt2, or None if one is not divisible.
+
+    a + b*omega + c*omega^2 + d*omega^3 is divisible by sqrt2 in Z[omega]
+    exactly when a = c and b = d (mod 2); see ring._divide_by_sqrt2.
+    """
+    out = {}
+    for i, (a, b, c, d) in amps.items():
+        if ((a ^ c) | (b ^ d)) & 1:
+            return None
+        out[i] = ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
+    return out
+
+
+def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int, tuple]:
+    """One compiled gate on an n-qubit state of shared-k coefficient tuples.
+
+    Returns the new amplitudes; after an h step they are over a denominator
+    one power of sqrt2 higher. The masks already encode the width n, which
+    stays in the signature because perfbench/tracing.py wraps this function
+    by name and position to count gate applications and support sizes.
+    """
+    bit, moves = step
+    if bit:
+        return _hadamard(amps, bit)
+    for move in moves:
+        amps = _move(amps, *move)
+    return amps
 
 
 class ExactState:
@@ -177,16 +250,28 @@ class ExactState:
         return f"ExactState({self.n}, {{{inside}}})"
 
 
-def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
-    """Run the gate list over the state; exact amplitudes, new state."""
+def apply_circuit(
+    state: ExactState, c: Circuit, *, compiled: list[CompiledGate] | None = None
+) -> ExactState:
+    """Run the gate list over the state; exact amplitudes, new state.
+
+    A caller that runs one circuit on many inputs passes ``compiled``, the
+    circuit's ``_compile(c)``, so that it is compiled only once.
+    """
     if state.n != c.width:
         raise WidthMismatch(
             f"state has {state.n} qubits but the circuit needs {c.width}"
         )
-    amps = dict(state._amps)
-    for gate in c.gates:
-        amps = _apply_gate(amps, gate, state.n)
-    return ExactState(state.n, amps)
+    n = state.n
+    k = max((v.k for v in state._amps.values()), default=0)
+    amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
+    for step in compiled if compiled is not None else _compile(c):
+        amps = _apply_gate(amps, step, n)
+        if step[0]:
+            k += 1
+            while k and (halved := _halved(amps)) is not None:
+                amps, k = halved, k - 1
+    return ExactState(n, {i: RingScalar(*v, k) for i, v in amps.items()})
 
 
 class ExactMatrix:
@@ -286,12 +371,46 @@ class ExactMatrix:
 
 def gate_matrix(kind: str) -> ExactMatrix:
     """The exact matrix of a gate kind over its own wires (MSB first)."""
-    arity = GATE_ARITY.get(kind)
-    if arity is None:
+    spec = GATES.get(kind)
+    if spec is None:
         raise ValueError(f"unknown gate kind {kind!r}")
-    n = arity
+    n = spec.arity
     c = Circuit(n, 0, (Gate(kind, tuple(range(n))),))
     return unitary_of(c, max_qubits=n)
+
+
+def _operator(c: Circuit, n_anc: int) -> ExactMatrix:
+    """The operator on all but the last n_anc wires, which start in |0>.
+
+    Every basis input is simulated; if any output touches a nonzero pattern
+    on the last n_anc wires, AncillaContractViolated reports that input.
+    """
+    steps = _compile(c)
+    anc_mask = (1 << n_anc) - 1
+    dim = 1 << (c.width - n_anc)
+    columns: list[dict[int, RingScalar]] = []
+    if not any(bit for bit, _ in steps):
+        moves = [move for _, gate_moves in steps for move in gate_moves]
+        for x in range(dim):
+            index, e = x << n_anc, 0
+            for cmask, fmask, j in moves:
+                if index & cmask == cmask:
+                    index ^= fmask
+                    e += j
+            if index & anc_mask:
+                raise AncillaContractViolated(x)
+            columns.append({index >> n_anc: _OMEGA_POWERS[e & 7]})
+    else:
+        n = c.width
+        for x in range(dim):
+            state = apply_circuit(ExactState.basis(n, x << n_anc), c, compiled=steps)
+            column: dict[int, RingScalar] = {}
+            for index, v in state._amps.items():
+                if index & anc_mask:
+                    raise AncillaContractViolated(x)
+                column[index >> n_anc] = v
+            columns.append(column)
+    return ExactMatrix.from_columns(dim, columns)
 
 
 def unitary_of(c: Circuit, max_qubits: int | None = None) -> ExactMatrix:
@@ -299,10 +418,7 @@ def unitary_of(c: Circuit, max_qubits: int | None = None) -> ExactMatrix:
     n = c.width
     if n > _cap(max_qubits, DEFAULT_UNITARY_CAP):
         raise TooWide(f"{n}-qubit unitary exceeds the width cap")
-    columns = []
-    for x in range(1 << n):
-        columns.append(apply_circuit(ExactState.basis(n, x), c)._amps)
-    return ExactMatrix.from_columns(1 << n, columns)
+    return _operator(c, 0)
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
@@ -310,21 +426,12 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
 
     Every main-register basis input is simulated with ancillas in |0>; if
     any output amplitude touches a nonzero ancilla pattern the contract is
-    broken and AncillaContractViolated reports the offending input.
+    broken and AncillaContractViolated reports the offending input. The
+    main register is capped like state simulation (TooWide).
     """
-    n = c.width
-    anc_mask = (1 << c.n_anc) - 1
-    dim = 1 << c.n_main
-    columns = []
-    for x in range(dim):
-        state = apply_circuit(ExactState.basis(n, x << c.n_anc), c)
-        column: dict[int, RingScalar] = {}
-        for index, v in state._amps.items():
-            if index & anc_mask:
-                raise AncillaContractViolated(x)
-            column[index >> c.n_anc] = v
-        columns.append(column)
-    return ExactMatrix.from_columns(dim, columns)
+    if c.n_main > _cap(None, DEFAULT_STATE_CAP):
+        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
+    return _operator(c, c.n_anc)
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:

@@ -6,7 +6,7 @@ One construct per line; '#' starts a comment, blank lines are ignored:
     ancillas M      optional, directly after the qubits header
     <mnemonic> q..  one gate per line, controls before target
 
-Integers are plain decimals. Emission is canonical (lowercase mnemonics,
+Integers are plain ASCII decimals. Emission is canonical (lowercase mnemonics,
 single spaces, no comments, ancilla header omitted when zero), so
 parse(emit(c)) == c and emit(parse(text)) normalises text.
 """
@@ -31,7 +31,8 @@ class SourceError(Exception):
 
 
 def _parse_int(token: str, line: int, column: int) -> int:
-    if not token.isdigit():
+    # str.isdigit alone accepts digits such as '¹' that int() rejects.
+    if not (token.isascii() and token.isdigit()):
         raise SourceError(line, column, f"malformed integer {token!r}")
     return int(token)
 

@@ -55,6 +55,28 @@ def test_metrics_parse_error_exits_1(tmp_path):
     assert (error["line"], error["column"]) == (2, 3)
 
 
+def test_unicode_digit_in_gate_line_exits_1(tmp_path):
+    # '\u00b9' (superscript one) passes str.isdigit but not int().
+    bad = tmp_path / "bad.tdo"
+    bad.write_text("qubits 2\ncx 0 \u00b9\n", encoding="utf-8")
+    code, out, err = run(["parse", str(bad)])
+    assert code == 1
+    assert out == ""
+    error = report_of(err)["error"]
+    assert (error["line"], error["column"]) == (2, 6)
+
+
+def test_non_utf8_file_exits_1(tmp_path):
+    bad = tmp_path / "bad.tdo"
+    bad.write_bytes(b"qubits 1\n\xff\xfe\n")
+    code, out, err = run(["metrics", str(bad)])
+    assert code == 1
+    assert out == ""
+    error = report_of(err)["error"]
+    assert error["file"] == str(bad)
+    assert "UTF-8" in error["message"]
+
+
 def test_parse_echoes_canonical_text(tmp_path):
     noisy = tmp_path / "noisy.tdo"
     noisy.write_text("qubits 2\n# c\ncx  0   1\n")
@@ -163,6 +185,26 @@ def test_verify_contract_violation_exits_1(tmp_path):
     code, _, err = run(["verify", str(a), str(b)])
     assert code == 1
     assert report_of(err)["error"]["basis_input"] == 1
+
+
+def test_verify_too_wide_exits_1(tmp_path, monkeypatch):
+    monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
+    wide = tmp_path / "wide.tdo"
+    wide.write_text("qubits 16\n")
+    code, out, err = run(["verify", str(wide), str(wide)])
+    assert code == 1
+    assert out == ""
+    assert "cap" in report_of(err)["error"]["message"]
+
+
+def test_verify_non_integer_width_cap_exits_1(tmp_path, monkeypatch):
+    one = tmp_path / "one.tdo"
+    one.write_text("qubits 1\nt 0\n")
+    monkeypatch.setenv("TDO_MAX_QUBITS", "twelve")
+    code, out, err = run(["verify", str(one), str(one)])
+    assert code == 1
+    assert out == ""
+    assert "TDO_MAX_QUBITS" in report_of(err)["error"]["message"]
 
 
 def test_obstruct_builtin_tht():
