@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, invert_gates
-from .sim import induced_unitary
+from .ring import ONE
+from .sim import induced_columns
 
 CONSTRUCTION_NAMES = (
     "toffoli-nc",
@@ -169,15 +170,12 @@ def _check_controlled(g: Circuit) -> None:
     """Require the induced operator to be identity when qubit 0 is |0>."""
     if g.n_main < 1:
         raise NotAControlledCircuit("inner circuit has no main qubits")
-    u = induced_unitary(g)
-    half = u.dim // 2
-    for x in range(half):
-        for i in range(u.dim):
-            v = u.rows[i][x]
-            if (i == x and v != 1) or (i != x and not v.is_zero):
-                raise NotAControlledCircuit(
-                    "qubit 0 of the inner circuit is not a pure control"
-                )
+    columns = induced_columns(g)
+    for x in range(len(columns) // 2):
+        if columns[x] != {x: ONE}:
+            raise NotAControlledCircuit(
+                "qubit 0 of the inner circuit is not a pure control"
+            )
 
 
 def add_control(

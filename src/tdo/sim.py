@@ -19,15 +19,19 @@ long as every amplitude allows it. RingScalar values are built only when
 the run ends, and their constructor normalises each amplitude, so results
 are canonical whatever k the run held. Nothing rounds.
 
-Operators are extracted column by column over basis inputs. When the
-compiled circuit has no h, each column is one (index, omega exponent) pair
-of ints; otherwise each column runs through `apply_circuit`.
+Operators are extracted as sparse columns, one `{index: amplitude}` dict
+per basis input (`induced_columns`). When the compiled circuit has no h,
+each column is one (index, omega exponent) pair of ints; otherwise each
+column runs through `apply_circuit`. Equivalence checking compares the
+columns directly; only `induced_unitary` and `unitary_of` densify them
+into an `ExactMatrix`.
 
-Width caps guard the dense entry points: full-unitary extraction defaults
-to 10 qubits, state simulation to 12 qubits, and induced-unitary
-extraction, which builds a 2^n_main square matrix, to 12 main qubits. The
-TDO_MAX_QUBITS environment variable overrides the defaults, and
-`unitary_of` and the obstruction test also take a per-call cap.
+Width caps bound the 2^n simulations: full-unitary extraction defaults to
+10 qubits, state simulation to 12 qubits, and column extraction, which
+simulates one column per main-register basis input, to 12 main qubits.
+The TDO_MAX_QUBITS environment variable, a string of ASCII digits,
+overrides the defaults, and `unitary_of` and the obstruction test also
+take a per-call cap.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ def _cap(explicit: int | None, default: int) -> int:
     env = os.environ.get("TDO_MAX_QUBITS")
     if not env:
         return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"TDO_MAX_QUBITS must be an integer, got {env!r}") from None
+    # int() alone also accepts signs, spaces, underscores and non-ASCII digits.
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
+    return int(env)
 
 
 # A compiled gate is (h bit, moves): a nonzero h bit is a Hadamard on that
@@ -379,11 +383,12 @@ def gate_matrix(kind: str) -> ExactMatrix:
     return unitary_of(c, max_qubits=n)
 
 
-def _operator(c: Circuit, n_anc: int) -> ExactMatrix:
+def _columns(c: Circuit, n_anc: int) -> list[dict[int, RingScalar]]:
     """The operator on all but the last n_anc wires, which start in |0>.
 
-    Every basis input is simulated; if any output touches a nonzero pattern
-    on the last n_anc wires, AncillaContractViolated reports that input.
+    One sparse column per basis input of the remaining wires. Every input is
+    simulated; if any output touches a nonzero pattern on the last n_anc
+    wires, AncillaContractViolated reports that input.
     """
     steps = _compile(c)
     anc_mask = (1 << n_anc) - 1
@@ -410,7 +415,7 @@ def _operator(c: Circuit, n_anc: int) -> ExactMatrix:
                     raise AncillaContractViolated(x)
                 column[index >> n_anc] = v
             columns.append(column)
-    return ExactMatrix.from_columns(dim, columns)
+    return columns
 
 
 def unitary_of(c: Circuit, max_qubits: int | None = None) -> ExactMatrix:
@@ -418,34 +423,57 @@ def unitary_of(c: Circuit, max_qubits: int | None = None) -> ExactMatrix:
     n = c.width
     if n > _cap(max_qubits, DEFAULT_UNITARY_CAP):
         raise TooWide(f"{n}-qubit unitary exceeds the width cap")
-    return _operator(c, 0)
+    return ExactMatrix.from_columns(1 << n, _columns(c, 0))
 
 
-def induced_unitary(c: Circuit) -> ExactMatrix:
-    """The operator on the main register, checking the ancilla contract.
+def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
+    """One sparse column {output index: amplitude} per main-register input.
 
-    Every main-register basis input is simulated with ancillas in |0>; if
-    any output amplitude touches a nonzero ancilla pattern the contract is
-    broken and AncillaContractViolated reports the offending input. The
+    Ancillas start in |0>. Every input is simulated; AncillaContractViolated
+    reports the first whose output touches a nonzero ancilla pattern. The
     main register is capped like state simulation (TooWide).
     """
     if c.n_main > _cap(None, DEFAULT_STATE_CAP):
         raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
-    return _operator(c, c.n_anc)
+    return _columns(c, c.n_anc)
+
+
+def induced_unitary(c: Circuit) -> ExactMatrix:
+    """`induced_columns` as a dense 2^n_main square matrix."""
+    return ExactMatrix.from_columns(1 << c.n_main, induced_columns(c))
+
+
+def _times_omega(v: RingScalar, e: int) -> RingScalar:
+    """omega^e * v as a rotation of v's coefficients, with no ring multiply."""
+    return RingScalar(*_ROTATE[e](v.a, v.b, v.c, v.d), v.k)
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
-    """The j with induced(c1) = omega^j * induced(c2), or None."""
+    """The j with induced(c1) = omega^j * induced(c2), or None.
+
+    Both circuits' columns are extracted in full, c1's first, so a contract
+    violation is reported whether or not the operators differ. j is read
+    off one entry of column 0; then each column pair is compared once.
+    """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")
-    u1 = induced_unitary(c1)
-    u2 = induced_unitary(c2)
-    if u1 == u2:
-        return 0
-    for j in range(1, 8):
-        if u1 == u2.scaled(omega_pow(j)):
-            return j
-    return None
+    cols1 = induced_columns(c1)
+    cols2 = induced_columns(c2)
+    # A unitary's column is never empty.
+    i, v = next(iter(cols1[0].items()))
+    w = cols2[0].get(i)
+    if w is None:
+        return None
+    j = next((j for j in range(8) if v == _times_omega(w, j)), None)
+    if j is None:
+        return None
+    for col1, col2 in zip(cols1, cols2):
+        if col1.keys() != col2.keys():
+            return None
+        for i, v in col1.items():
+            if v != _times_omega(col2[i], j):
+                return None
+    return j
 
 
 def equivalent(c1: Circuit, c2: Circuit, up_to_global_phase: bool = False) -> bool:

@@ -1,18 +1,19 @@
 """Reference simulator: one RingScalar multiply or add per amplitude update.
 
-This is the library's original per-gate kernel, kept as an independent
-oracle for the integer-coefficient kernel in `tdo.sim`. It shares no gate
-semantics with `tdo.circuit.GATES` or `tdo.sim`: every kind is spelled out
-as its own branch over RingScalar amplitudes. Only the result containers
-(ExactState, ExactMatrix) and the ancilla-contract exception are shared, so
-results compare with `==`.
+This is the library's original per-gate kernel and dense phase search,
+kept as independent oracles for the integer-coefficient kernel and the
+sparse column comparison in `tdo.sim`. It shares no gate semantics with
+`tdo.circuit.GATES` or `tdo.sim`: every kind is spelled out as its own
+branch over RingScalar amplitudes. Only the result containers (ExactState,
+ExactMatrix) and the ancilla-contract and width-mismatch exceptions are
+shared, so results compare with `==`.
 """
 
 from __future__ import annotations
 
 from tdo.circuit import GATE_ARITY, Circuit, Gate
-from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, RingScalar
-from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState
+from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, RingScalar, omega_pow
+from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, WidthMismatch
 
 _PHASES = {
     "z": MINUS_ONE,
@@ -100,6 +101,21 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
             column[index >> c.n_anc] = state.amplitude(index)
         columns.append(column)
     return ExactMatrix.from_columns(dim, columns)
+
+
+def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
+    """The library's original phase search: two dense matrices, then up to
+    seven scaled copies of the second, one per omega^j."""
+    if c1.n_main != c2.n_main:
+        raise WidthMismatch("circuits act on different main registers")
+    u1 = induced_unitary(c1)
+    u2 = induced_unitary(c2)
+    if u1 == u2:
+        return 0
+    for j in range(1, 8):
+        if u1 == u2.scaled(omega_pow(j)):
+            return j
+    return None
 
 
 def gate_matrix(kind: str) -> ExactMatrix:

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from tdo.cli import main
 from tdo.text import emit, parse
 from tdo.constructions import multi_controlled_x, toffoli_tdepth1
@@ -202,6 +204,22 @@ def test_verify_non_integer_width_cap_exits_1(tmp_path, monkeypatch):
     one.write_text("qubits 1\nt 0\n")
     monkeypatch.setenv("TDO_MAX_QUBITS", "twelve")
     code, out, err = run(["verify", str(one), str(one)])
+    assert code == 1
+    assert out == ""
+    assert "TDO_MAX_QUBITS" in report_of(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("cap", ["\u0661", " 1_0 "])
+@pytest.mark.parametrize("command", ["verify", "obstruct"])
+def test_width_cap_must_be_ascii_digits(tmp_path, monkeypatch, command, cap):
+    # int() reads '\u0661' (Arabic-Indic one) as 1 and ' 1_0 ' as 10.
+    two = tmp_path / "two.tdo"
+    two.write_text("qubits 2\nt 0\n")
+    monkeypatch.setenv("TDO_MAX_QUBITS", cap)
+    if command == "verify":
+        code, out, err = run(["verify", str(two), str(two)])
+    else:
+        code, out, err = run(["obstruct", "--builtin", "tht"])
     assert code == 1
     assert out == ""
     assert "TDO_MAX_QUBITS" in report_of(err)["error"]["message"]

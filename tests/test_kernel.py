@@ -1,7 +1,7 @@
 """The integer-coefficient kernel and the gate table against the reference simulator."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdo.circuit import GATES, Circuit, Gate
 from tdo.ring import RingScalar, omega_pow
@@ -11,6 +11,7 @@ from tdo.sim import (
     ExactState,
     TooWide,
     apply_circuit,
+    equivalence_phase,
     gate_matrix,
     induced_unitary,
     is_almost_classical,
@@ -47,32 +48,89 @@ def circuits_with_states(draw):
 
 
 @st.composite
-def ancilla_circuits(draw, kinds):
+def ancilla_circuits(draw, kinds, n_mains=st.integers(1, 3), leak_odds=10):
     """Gates on the main wires plus phase kickbacks onto ancillas.
 
     A kickback copies a main wire onto an ancilla, applies a phase there
-    and, unless it leaks, copies again to restore the ancilla.
+    and, unless it leaks (one time in leak_odds), copies again to restore
+    the ancilla. Without main wires the gate list is empty.
     """
-    n_main = draw(st.integers(1, 3))
+    n_main = draw(n_mains)
     n_anc = draw(st.integers(0, 2))
     main = range(n_main)
     gates = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 12)) if n_main else 0):
         if n_anc and draw(st.booleans()):
             copy = Gate("cx", (draw(st.sampled_from(main)), n_main + draw(st.integers(0, n_anc - 1))))
             phase = Gate(draw(st.sampled_from(["z", "s", "sdg", "t", "tdg"])), copy.qubits[1:])
-            leaks = draw(st.integers(0, 9)) == 0
+            leaks = draw(st.integers(1, leak_odds)) == 1
             gates += [copy, phase] if leaks else [copy, phase, copy]
         else:
             gates.append(_draw_gate(draw, main, kinds))
     return Circuit(n_main, n_anc, tuple(gates))
 
 
-def _induced_outcome(induced, c):
+def _sandwich(draw, width):
+    """omega^j times the identity: x P x P on one wire, P = s^(j//2) t^(j%2).
+
+    An optional leading h h pair is the identity too, but it can reorder
+    the entries of a sparse column.
+    """
+    wire = draw(st.integers(0, width - 1))
+    j = draw(st.integers(0, 7))
+    half = [Gate("s", (wire,))] * (j // 2) + [Gate("t", (wire,))] * (j % 2)
+    pad = [Gate("h", (wire,))] * 2 if draw(st.booleans()) else []
+    return pad + [Gate("x", (wire,))] + half + [Gate("x", (wire,))] + half
+
+
+def _leak(draw, n_main, n_anc):
+    """A gate that leaves an ancilla dirty on some or all basis inputs."""
+    ancilla = n_main + draw(st.integers(0, n_anc - 1))
+    if n_main and draw(st.booleans()):
+        return Gate("cx", (draw(st.integers(0, n_main - 1)), ancilla))
+    return Gate("x", (ancilla,))
+
+
+@st.composite
+def verify_pairs(draw):
+    """Circuit pairs as `verify` meets them.
+
+    c2 is c1 itself, c1 with one t and tdg swapped, c1 after a controlled
+    gate (which fixes basis input 0 and so leaves column 0 alone), or an
+    unrelated circuit on as many main wires. It may then be followed by an
+    omega^j sandwich. Ancilla leaks are added to c1, c2 or both.
+    """
+    kinds = draw(st.sampled_from([ALL_KINDS + ["h"] * 4, MONOMIAL_KINDS]))
+    c1 = draw(ancilla_circuits(kinds, n_mains=st.integers(0, 4), leak_odds=40))
+    n_main = c1.n_main
+    derive = draw(st.sampled_from(["same", "mutant", "controlled", "unrelated"]))
+    if derive == "unrelated":
+        c2 = draw(ancilla_circuits(kinds, n_mains=st.just(n_main), leak_odds=40))
+    else:
+        c2 = c1
+    gates1, gates2 = list(c1.gates), list(c2.gates)
+    t_sites = [i for i, g in enumerate(gates2) if g.kind in ("t", "tdg")]
+    if derive == "mutant" and t_sites:
+        i = draw(st.sampled_from(t_sites))
+        gates2[i] = Gate(GATES[gates2[i].kind].inverse, gates2[i].qubits)
+    if derive == "controlled" and n_main >= 2:
+        gates2.insert(0, _draw_gate(draw, range(n_main), ["cx", "cz", "ccx"]))
+    if c2.width and draw(st.integers(0, 3)):
+        gates2 += _sandwich(draw, c2.width)
+    leaks = draw(st.sampled_from(["", "", "", "", "1", "2", "12"]))
+    if c1.n_anc and "1" in leaks:
+        gates1.append(_leak(draw, n_main, c1.n_anc))
+    if c2.n_anc and "2" in leaks:
+        gates2.append(_leak(draw, n_main, c2.n_anc))
+    return Circuit(n_main, c1.n_anc, tuple(gates1)), Circuit(n_main, c2.n_anc, tuple(gates2))
+
+
+def _outcome(fn, *circuits):
+    """The result, or the contract exception's type and basis input."""
     try:
-        return induced(c)
+        return fn(*circuits)
     except AncillaContractViolated as exc:
-        return ("violated", exc.basis_input)
+        return (type(exc), exc.basis_input)
 
 
 @given(circuits_with_states())
@@ -83,12 +141,26 @@ def test_apply_circuit_matches_reference(case):
 
 @given(ancilla_circuits(ALL_KINDS))
 def test_induced_unitary_matches_reference(c):
-    assert _induced_outcome(induced_unitary, c) == _induced_outcome(ref.induced_unitary, c)
+    assert _outcome(induced_unitary, c) == _outcome(ref.induced_unitary, c)
 
 
 @given(ancilla_circuits(MONOMIAL_KINDS))
 def test_induced_unitary_without_h_matches_reference(c):
-    assert _induced_outcome(induced_unitary, c) == _induced_outcome(ref.induced_unitary, c)
+    assert _outcome(induced_unitary, c) == _outcome(ref.induced_unitary, c)
+
+
+@settings(max_examples=300)
+@given(verify_pairs())
+# Equal up to omega^7 in column 0 only: a comparison that skips the support
+# check looks up output 3 of input 2 in the second circuit, which lacks it.
+@example((
+    Circuit(2, 0, (Gate("cx", (0, 1)),)),
+    Circuit(2, 0, tuple(Gate(kind, (0,)) for kind in ("x", "t", "x", "t"))),
+))
+# Equal, with column 0 holding no entry in row 0.
+@example((Circuit(1, 0, (Gate("x", (0,)),)), Circuit(1, 0, (Gate("x", (0,)),))))
+def test_equivalence_phase_matches_reference(pair):
+    assert _outcome(equivalence_phase, *pair) == _outcome(ref.equivalence_phase, *pair)
 
 
 def _action_matrix(kind: str) -> ExactMatrix:

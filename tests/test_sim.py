@@ -12,6 +12,7 @@ from tdo.sim import (
     TooWide,
     WidthMismatch,
     apply_circuit,
+    equivalence_phase,
     equivalent,
     gate_matrix,
     induced_unitary,
@@ -20,7 +21,7 @@ from tdo.sim import (
     single_qubit_cliffords,
     unitary_of,
 )
-from tdo.constructions import ccz_tdepth1, toffoli_nc
+from tdo.constructions import ccz_tdepth1, multi_controlled_x, toffoli_nc
 
 from conftest import gate
 
@@ -121,6 +122,22 @@ def test_equivalent_up_to_global_phase():
     identity = Circuit(1)
     assert not equivalent(phased, identity)
     assert equivalent(phased, identity, up_to_global_phase=True)
+
+
+def test_equivalence_phase_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("equivalence_phase built a dense matrix")
+
+    monkeypatch.setattr(ExactMatrix, "from_columns", refuse)
+    monkeypatch.setattr(ExactMatrix, "scaled", refuse)
+    anc, bare = multi_controlled_x(5), multi_controlled_x(5, use_ancilla=False)
+    assert equivalence_phase(anc, bare) == 0
+    # x t s x t s is omega^3 times the identity.
+    sandwich = tuple(gate(kind, 2) for kind in ("x", "t", "s", "x", "t", "s"))
+    phased = Circuit(bare.n_main, bare.n_anc, bare.gates + sandwich)
+    assert equivalence_phase(anc, phased) == 5
+    mutant = Circuit(bare.n_main, bare.n_anc, bare.gates + (gate("cz", 0, 5),))
+    assert equivalence_phase(anc, mutant) is None
 
 
 def test_is_almost_classical_on_gates():
