@@ -12,18 +12,7 @@ from .constructions import ConstructionId, build
 from .obstruction import Verdict, obstruction_verdict
 from .rewriter import rewrite_budgeted, rewrite_tdepth1, validate_gateset
 from .ring import RealValue, RingScalar, omega_pow, ratio_is_rational
-from .sim import (
-    ExactMatrix,
-    ExactState,
-    PhaseSpec,
-    apply_circuit,
-    equivalent,
-    gate_matrix,
-    induced_unitary,
-    is_almost_classical,
-    phase_diagonal,
-    unitary_of,
-)
+from .sim import ExactMatrix, ExactState, apply_circuit, equivalence_phase, induced_unitary
 from .text import SourceError, emit, parse
 
 __version__ = "0.1.0"
@@ -35,7 +24,6 @@ __all__ = [
     "ExactState",
     "Gate",
     "Metrics",
-    "PhaseSpec",
     "RealValue",
     "RingScalar",
     "SourceError",
@@ -45,21 +33,17 @@ __all__ = [
     "dagger",
     "depth",
     "emit",
-    "equivalent",
-    "gate_matrix",
+    "equivalence_phase",
     "induced_unitary",
-    "is_almost_classical",
     "metrics",
     "obstruction_verdict",
     "omega_pow",
     "parse",
-    "phase_diagonal",
     "ratio_is_rational",
     "rewrite_budgeted",
     "rewrite_tdepth1",
     "t_count",
     "t_depth_as_written",
     "t_depth_scheduled",
-    "unitary_of",
     "validate_gateset",
 ]

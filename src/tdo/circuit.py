@@ -26,6 +26,7 @@ depth and gate count like any other gate.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -183,26 +184,29 @@ def t_depth_scheduled(c: Circuit) -> int:
     wires (it costs no stage), a t/tdg gate bumps its wire by one. The
     result is the longest T-chain in the qubit-sharing partial order, an
     upper bound on the true minimal T-depth and independent of how gates
-    on disjoint wires happen to be interleaved.
+    on disjoint wires happen to be interleaved. Only wires that gates touch
+    get a counter, so the declared width costs nothing.
     """
-    level = [0] * c.width
+    level: defaultdict[int, int] = defaultdict(int)
     for gate in c.gates:
-        if gate.is_t:
-            level[gate.qubits[0]] += 1
+        qubits = gate.qubits
+        if GATES[gate.kind].is_t:
+            level[qubits[0]] += 1
         else:
-            peak = max(level[q] for q in gate.qubits)
-            for q in gate.qubits:
+            peak = max([level[q] for q in qubits])
+            for q in qubits:
                 level[q] = peak
-    return max(level, default=0)
+    return max(level.values(), default=0)
 
 
 def depth(c: Circuit) -> int:
     """Layers of the as-soon-as-possible schedule (all gates cost 1)."""
-    busy_until = [0] * c.width
+    busy_until: defaultdict[int, int] = defaultdict(int)
     total = 0
     for gate in c.gates:
-        layer = 1 + max(busy_until[q] for q in gate.qubits)
-        for q in gate.qubits:
+        qubits = gate.qubits
+        layer = 1 + max([busy_until[q] for q in qubits])
+        for q in qubits:
             busy_until[q] = layer
         if layer > total:
             total = layer

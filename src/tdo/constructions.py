@@ -3,7 +3,8 @@
 Every builder returns a plain Circuit over the common gate set, with its
 ancilla block declared, and is checked in the test suite against an exact
 oracle (a primitive gate matrix, a phase diagonal, or a brute-force
-permutation). Names double as the command-line `emit` vocabulary.
+permutation) that the suite builds without the library's gate table.
+Names double as the command-line `emit` vocabulary.
 
 The single-stage doubly-controlled pieces follow one template: CNOTs fan
 the needed parities onto wires, one stage of t/tdg applies all the
@@ -178,9 +179,7 @@ def _check_controlled(g: Circuit) -> None:
             )
 
 
-def add_control(
-    g: Circuit, use_ancilla: bool = True, carry_ancilla: bool = False
-) -> Circuit:
+def add_control(g: Circuit, use_ancilla: bool = True) -> Circuit:
     """Add one more control to a circuit whose qubit 0 is already a control.
 
     The two controls are folded onto a fresh conjunction ancilla by a
@@ -189,37 +188,19 @@ def add_control(
     restores the ancilla. Adds 8 t/tdg gates, at most 2 extra T stages,
     and 28 gates to the inner circuit's own (22 added without the inner
     parity ancilla, at a depth and T-stage premium).
-
-    With ``carry_ancilla`` the parity ancilla is left holding the new
-    control's value across the inner circuit, saving two gates (26
-    added); it is off by default to keep every ancilla |0> outside the
-    sandwich.
     """
     _check_controlled(g)
-    if carry_ancilla and not use_ancilla:
-        raise BadParams("carry_ancilla only applies to the ancilla form")
     m = g.n_main
     conj = m + 1 + g.n_anc
     parity = conj + 1 if use_ancilla else None
     n_anc = g.n_anc + (2 if use_ancilla else 1)
 
     fold = _cc_minus_ix_gates(0, 1, conj, parity)
-    unfold = invert_gates(fold)
-    if carry_ancilla:
-        # Leave the parity ancilla holding the new control's value: drop the
-        # CNOT that clears it at the end of the fold and the mirrored CNOT
-        # that would recompute it at the start of the unfold.
-        marker = Gate("cx", (0, parity))
-        last = max(i for i, gate in enumerate(fold) if gate == marker)
-        fold = fold[:last] + fold[last + 1 :]
-        first = min(i for i, gate in enumerate(unfold) if gate == marker)
-        unfold = unfold[:first] + unfold[first + 1 :]
-
     inner = tuple(
         Gate(gate.kind, tuple(conj if q == 0 else q + 1 for q in gate.qubits))
         for gate in g.gates
     )
-    return Circuit(m + 1, n_anc, fold + inner + unfold)
+    return Circuit(m + 1, n_anc, fold + inner + invert_gates(fold))
 
 
 def multi_controlled_x(k: int, use_ancilla: bool = True) -> Circuit:

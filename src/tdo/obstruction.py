@@ -25,7 +25,7 @@ from itertools import product
 
 from .circuit import GATES, Circuit, Gate
 from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
-from .sim import DEFAULT_STATE_CAP, ExactState, TooWide, _cap, apply_circuit
+from .sim import ExactState, TooWide, _cap, apply_circuit
 
 NO_TDEPTH1 = "no-tdepth1-possible"
 INCONCLUSIVE = "inconclusive"
@@ -269,10 +269,10 @@ def _initial_state(c: Circuit, phi: str) -> ExactState:
     raise ValueError("phi must be 'zero' or 'plus'")
 
 
-def expectation_direct(c: Circuit, phi: str, max_qubits: int | None = None) -> RealValue:
+def expectation_direct(c: Circuit, phi: str) -> RealValue:
     """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation."""
     n = c.width
-    if n > _cap(max_qubits, DEFAULT_STATE_CAP):
+    if n > _cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
     state = apply_circuit(_initial_state(c, phi), c)
     top = 1 << (n - 1)
@@ -295,7 +295,7 @@ class Verdict:
     conclusion: str
 
 
-def obstruction_verdict(c: Circuit, max_qubits: int | None = None) -> Verdict:
+def obstruction_verdict(c: Circuit) -> Verdict:
     """Decide whether a one-main-qubit circuit rules out a single T stage.
 
     Ancillas are free and need not be restored. An irrational ratio
@@ -305,8 +305,8 @@ def obstruction_verdict(c: Circuit, max_qubits: int | None = None) -> Verdict:
     """
     if c.n_main != 1:
         raise ValueError("the obstruction test takes a single-main-qubit circuit")
-    e_zero = expectation_direct(c, "zero", max_qubits)
-    e_plus = expectation_direct(c, "plus", max_qubits)
+    e_zero = expectation_direct(c, "zero")
+    e_plus = expectation_direct(c, "plus")
     if e_plus.is_zero:
         return Verdict(e_zero, e_plus, None, INAPPLICABLE)
     rational = ratio_is_rational(e_zero, e_plus)

@@ -21,7 +21,6 @@ expectation-value ratios (p1 + q1*sqrt2)/(p2 + q2*sqrt2).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 _OMEGA_COMPLEX = complex(2**-0.5, 2**-0.5)
 
@@ -206,13 +205,10 @@ def omega_pow(e: int) -> RingScalar:
     return RingScalar(*coeffs)
 
 
-@total_ordering
 class RealValue:
     """Exact real number p + q*sqrt2 with dyadic rational p and q.
 
-    The value is rational if and only if q = 0. Ordering is exact: the sign
-    of p + q*sqrt2 is decided by comparing p^2 against 2*q^2 when p and q
-    disagree in sign.
+    The value is rational if and only if q = 0.
     """
 
     __slots__ = ("p", "q")
@@ -237,36 +233,10 @@ class RealValue:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def sign(self) -> int:
-        if self.q == 0:
-            return (self.p > 0) - (self.p < 0)
-        if self.p == 0:
-            return 1 if self.q > 0 else -1
-        if self.p > 0 and self.q > 0:
-            return 1
-        if self.p < 0 and self.q < 0:
-            return -1
-        rational_dominates = self.p * self.p > 2 * self.q * self.q
-        if self.p > 0:
-            return 1 if rational_dominates else -1
-        return -1 if rational_dominates else 1
-
-    def __sub__(self, other: RealValue) -> RealValue:
-        return RealValue(self.p - other.p, self.q - other.q)
-
-    def __neg__(self) -> RealValue:
-        return RealValue(-self.p, -self.q)
-
-    def approx(self) -> float:
-        return float(self.p) + float(self.q) * 2**0.5
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RealValue):
             return self.p == other.p and self.q == other.q
         return NotImplemented
-
-    def __lt__(self, other: RealValue) -> bool:
-        return (self - other).sign() < 0
 
     def __hash__(self) -> int:
         return hash((self.p, self.q))

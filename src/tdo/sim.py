@@ -1,11 +1,10 @@
-"""Exact simulation over ring scalars: states, unitaries, and oracles.
+"""Exact simulation over ring scalars: states and induced operators.
 
 Qubit 0 is the most significant bit of a basis index, matching the
 top-to-bottom wire order of circuit diagrams: on three wires the basis
 state |x y z> has index 4x + 2y + z. A state stores only its nonzero
-amplitudes internally (most circuits here are permutation+phase and keep
-basis inputs on a single branch); `amplitudes` materialises the dense
-vector on demand.
+amplitudes (most circuits here are permutation+phase and keep basis
+inputs on a single branch).
 
 The kernel compiles a circuit once per call into one step per gate: a
 monomial gate becomes the bitmask moves (control mask, flip mask, omega
@@ -23,28 +22,24 @@ Operators are extracted as sparse columns, one `{index: amplitude}` dict
 per basis input (`induced_columns`). When the compiled circuit has no h,
 each column is one (index, omega exponent) pair of ints; otherwise each
 column runs through `apply_circuit`. Equivalence checking compares the
-columns directly; only `induced_unitary` and `unitary_of` densify them
-into an `ExactMatrix`.
+columns directly; only `induced_unitary` densifies them into an
+`ExactMatrix`.
 
-Width caps bound the 2^n simulations: full-unitary extraction defaults to
-10 qubits, state simulation to 12 qubits, and column extraction, which
-simulates one column per main-register basis input, to 12 main qubits.
-The TDO_MAX_QUBITS environment variable, a string of ASCII digits,
-overrides the defaults, and `unitary_of` and the obstruction test also
-take a per-call cap.
+One width cap bounds the 2^n simulations: 12 qubits for state simulation
+and for the main register of an induced operator, whose columns are
+simulated one per main-register basis input. The TDO_MAX_QUBITS
+environment variable, a string of ASCII digits, overrides it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import GATES, Circuit
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
-DEFAULT_STATE_CAP = 12
-DEFAULT_UNITARY_CAP = 10
+DEFAULT_CAP = 12
 
 
 class WidthMismatch(ValueError):
@@ -65,12 +60,10 @@ class AncillaContractViolated(Exception):
         self.basis_input = basis_input
 
 
-def _cap(explicit: int | None, default: int) -> int:
-    if explicit is not None:
-        return explicit
+def _cap() -> int:
     env = os.environ.get("TDO_MAX_QUBITS")
     if not env:
-        return default
+        return DEFAULT_CAP
     # int() alone also accepts signs, spaces, underscores and non-ASCII digits.
     if not (env.isascii() and env.isdigit()):
         raise ValueError(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
@@ -201,16 +194,8 @@ class ExactState:
 
     __slots__ = ("n", "_amps")
 
-    def __init__(
-        self, n: int, amplitudes: Mapping[int, RingScalar] | Sequence[RingScalar]
-    ) -> None:
-        if isinstance(amplitudes, Mapping):
-            items = amplitudes.items()
-        else:
-            if len(amplitudes) != 1 << n:
-                raise ValueError(f"expected {1 << n} amplitudes")
-            items = enumerate(amplitudes)
-        amps = {i: v for i, v in items if v}
+    def __init__(self, n: int, amplitudes: Mapping[int, RingScalar]) -> None:
+        amps = {i: v for i, v in amplitudes.items() if v}
         for i in amps:
             if not 0 <= i < 1 << n:
                 raise ValueError(f"basis index {i} out of range")
@@ -227,19 +212,8 @@ class ExactState:
     def amplitude(self, index: int) -> RingScalar:
         return self._amps.get(index, ZERO)
 
-    @property
-    def amplitudes(self) -> tuple[RingScalar, ...]:
-        """Dense amplitude vector in basis-index order."""
-        return tuple(self._amps.get(i, ZERO) for i in range(1 << self.n))
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._amps))
-
-    def norm_squared(self) -> RingScalar:
-        total = ZERO
-        for v in self._amps.values():
-            total = total + v * v.conjugate()
-        return total
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactState):
@@ -296,19 +270,6 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def identity(cls, dim: int) -> ExactMatrix:
-        return cls(
-            [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        )
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[RingScalar]) -> ExactMatrix:
-        dim = len(entries)
-        return cls(
-            [[entries[i] if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        )
-
-    @classmethod
     def from_columns(cls, dim: int, columns: Sequence[Mapping[int, RingScalar]]) -> ExactMatrix:
         rows = [[ZERO] * dim for _ in range(dim)]
         for j, column in enumerate(columns):
@@ -316,50 +277,8 @@ class ExactMatrix:
                 rows[i][j] = v
         return cls(rows)
 
-    def __getitem__(self, index: int) -> tuple[RingScalar, ...]:
-        return self.rows[index]
-
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        dim = self.dim
-        out = [[ZERO] * dim for _ in range(dim)]
-        for i in range(dim):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(dim):
-                aik = arow[k]
-                if aik.is_zero:
-                    continue
-                brow = other.rows[k]
-                for j in range(dim):
-                    bkj = brow[j]
-                    if bkj.is_zero:
-                        continue
-                    orow[j] = orow[j] + aik * bkj
-        return ExactMatrix(out)
-
-    def dagger(self) -> ExactMatrix:
-        return ExactMatrix(
-            [
-                [self.rows[j][i].conjugate() for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        )
-
     def scaled(self, scalar: RingScalar) -> ExactMatrix:
         return ExactMatrix([[scalar * v for v in row] for row in self.rows])
-
-    def is_unitary(self) -> bool:
-        return self @ self.dagger() == ExactMatrix.identity(self.dim)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            v.is_zero
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if i != j
-        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactMatrix):
@@ -373,26 +292,19 @@ class ExactMatrix:
         return f"ExactMatrix(dim={self.dim})"
 
 
-def gate_matrix(kind: str) -> ExactMatrix:
-    """The exact matrix of a gate kind over its own wires (MSB first)."""
-    spec = GATES.get(kind)
-    if spec is None:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    n = spec.arity
-    c = Circuit(n, 0, (Gate(kind, tuple(range(n))),))
-    return unitary_of(c, max_qubits=n)
+def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
+    """One sparse column {output index: amplitude} per main-register input.
 
-
-def _columns(c: Circuit, n_anc: int) -> list[dict[int, RingScalar]]:
-    """The operator on all but the last n_anc wires, which start in |0>.
-
-    One sparse column per basis input of the remaining wires. Every input is
-    simulated; if any output touches a nonzero pattern on the last n_anc
-    wires, AncillaContractViolated reports that input.
+    Ancillas start in |0>. Every input is simulated; AncillaContractViolated
+    reports the first whose output touches a nonzero ancilla pattern. The
+    main register is capped like state simulation (TooWide).
     """
+    if c.n_main > _cap():
+        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
+    n, n_anc = c.width, c.n_anc
     steps = _compile(c)
     anc_mask = (1 << n_anc) - 1
-    dim = 1 << (c.width - n_anc)
+    dim = 1 << c.n_main
     columns: list[dict[int, RingScalar]] = []
     if not any(bit for bit, _ in steps):
         moves = [move for _, gate_moves in steps for move in gate_moves]
@@ -406,7 +318,6 @@ def _columns(c: Circuit, n_anc: int) -> list[dict[int, RingScalar]]:
                 raise AncillaContractViolated(x)
             columns.append({index >> n_anc: _OMEGA_POWERS[e & 7]})
     else:
-        n = c.width
         for x in range(dim):
             state = apply_circuit(ExactState.basis(n, x << n_anc), c, compiled=steps)
             column: dict[int, RingScalar] = {}
@@ -416,26 +327,6 @@ def _columns(c: Circuit, n_anc: int) -> list[dict[int, RingScalar]]:
                 column[index >> n_anc] = v
             columns.append(column)
     return columns
-
-
-def unitary_of(c: Circuit, max_qubits: int | None = None) -> ExactMatrix:
-    """Full 2^width unitary via columnwise simulation."""
-    n = c.width
-    if n > _cap(max_qubits, DEFAULT_UNITARY_CAP):
-        raise TooWide(f"{n}-qubit unitary exceeds the width cap")
-    return ExactMatrix.from_columns(1 << n, _columns(c, 0))
-
-
-def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
-    """One sparse column {output index: amplitude} per main-register input.
-
-    Ancillas start in |0>. Every input is simulated; AncillaContractViolated
-    reports the first whose output touches a nonzero ancilla pattern. The
-    main register is capped like state simulation (TooWide).
-    """
-    if c.n_main > _cap(None, DEFAULT_STATE_CAP):
-        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
-    return _columns(c, c.n_anc)
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
@@ -474,101 +365,3 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
             if v != _times_omega(col2[i], j):
                 return None
     return j
-
-
-def equivalent(c1: Circuit, c2: Circuit, up_to_global_phase: bool = False) -> bool:
-    """Exact equality of induced unitaries, optionally modulo omega^j."""
-    phase = equivalence_phase(c1, c2)
-    if up_to_global_phase:
-        return phase is not None
-    return phase == 0
-
-
-def is_almost_classical(m: ExactMatrix) -> bool:
-    """Whether the matrix is monomial: one nonzero entry per row and column."""
-    dim = m.dim
-    col_counts = [0] * dim
-    for row in m.rows:
-        row_count = 0
-        for j, v in enumerate(row):
-            if not v.is_zero:
-                row_count += 1
-                col_counts[j] += 1
-        if row_count != 1:
-            return False
-    return all(count == 1 for count in col_counts)
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """A diagonal of eighth-root phases: entry omega^(sum sign*parity(mask, x)).
-
-    Each term is a nonempty set of qubit indices and a sign; parity is the
-    XOR of the basis bits selected by the mask.
-    """
-
-    n: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __init__(self, n: int, terms: Iterable[tuple[Iterable[int], int]]) -> None:
-        object.__setattr__(self, "n", n)
-        normalised = []
-        for mask, sign in terms:
-            qubits = tuple(sorted(set(mask)))
-            if not qubits:
-                raise ValueError("phase masks must be nonempty")
-            if any(q < 0 or q >= n for q in qubits):
-                raise ValueError("phase mask qubit out of range")
-            if sign not in (-1, 1):
-                raise ValueError("phase sign must be +1 or -1")
-            normalised.append((qubits, sign))
-        masks = [m for m, _ in normalised]
-        if len(set(masks)) != len(masks):
-            raise ValueError("phase masks must be distinct")
-        object.__setattr__(self, "terms", tuple(normalised))
-
-
-def phase_diagonal(spec: PhaseSpec) -> ExactMatrix:
-    """Materialise a PhaseSpec as an exact diagonal matrix."""
-    n = spec.n
-    bitmasks = [
-        (sum(1 << (n - 1 - q) for q in mask), sign) for mask, sign in spec.terms
-    ]
-    entries = []
-    for x in range(1 << n):
-        exponent = sum(
-            sign * (bin(x & bits).count("1") & 1) for bits, sign in bitmasks
-        )
-        entries.append(omega_pow(exponent))
-    return ExactMatrix.diagonal(entries)
-
-
-def single_qubit_cliffords() -> tuple[ExactMatrix, ...]:
-    """The 24 single-qubit Clifford operators modulo global phase.
-
-    Enumerated as products of the Hadamard and phase gates, with each
-    coset represented by its lexicographically least omega-scaling.
-    """
-
-    def canonical(m: ExactMatrix) -> ExactMatrix:
-        def key(mat: ExactMatrix) -> tuple:
-            return tuple(
-                (v.a, v.b, v.c, v.d, v.k) for row in mat.rows for v in row
-            )
-
-        return min((m.scaled(omega_pow(j)) for j in range(8)), key=key)
-
-    generators = (gate_matrix("h"), gate_matrix("s"))
-    seen: dict[tuple, ExactMatrix] = {}
-    frontier = [canonical(ExactMatrix.identity(2))]
-    seen[frontier[0].rows] = frontier[0]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                candidate = canonical(g @ m)
-                if candidate.rows not in seen:
-                    seen[candidate.rows] = candidate
-                    nxt.append(candidate)
-        frontier = nxt
-    return tuple(seen.values())

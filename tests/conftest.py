@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tdo.circuit import GATE_ARITY, Circuit, Gate
+from tdo.sim import ExactMatrix, induced_unitary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -13,6 +14,12 @@ MONOMIAL_POOL = ["x", "s", "sdg", "cx", "ccx", "ccz", "cs", "t", "tdg"]
 
 def gate(kind, *qubits):
     return Gate(kind, tuple(qubits))
+
+
+def gate_unitary(kind: str) -> ExactMatrix:
+    """The library's matrix of one gate kind over its own wires."""
+    n = GATE_ARITY[kind]
+    return induced_unitary(Circuit(n, 0, (Gate(kind, tuple(range(n))),)))
 
 
 def random_gate(rng: random.Random, n: int, pool) -> Gate:

@@ -1,18 +1,25 @@
-"""Reference simulator: one RingScalar multiply or add per amplitude update.
+"""Reference simulator and the dense oracles that only tests need.
 
-This is the library's original per-gate kernel and dense phase search,
-kept as independent oracles for the integer-coefficient kernel and the
-sparse column comparison in `tdo.sim`. It shares no gate semantics with
+The simulator is the library's original per-gate kernel and dense phase
+search, kept as independent oracles for the integer-coefficient kernel and
+the sparse column comparison in `tdo.sim`. It shares no gate semantics with
 `tdo.circuit.GATES` or `tdo.sim`: every kind is spelled out as its own
 branch over RingScalar amplitudes. Only the result containers (ExactState,
 ExactMatrix) and the ancilla-contract and width-mismatch exceptions are
 shared, so results compare with `==`.
+
+The rest is dense matrix algebra over those containers (products,
+adjoints, unitarity and shape checks), phase diagonals, the single-qubit
+Clifford group, state norms and the exact sign of a RealValue.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+
 from tdo.circuit import GATE_ARITY, Circuit, Gate
-from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, RingScalar, omega_pow
+from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
 from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, WidthMismatch
 
 _PHASES = {
@@ -122,3 +129,136 @@ def gate_matrix(kind: str) -> ExactMatrix:
     """The matrix of one gate kind over its own wires, most significant first."""
     n = GATE_ARITY[kind]
     return induced_unitary(Circuit(n, 0, (Gate(kind, tuple(range(n))),)))
+
+
+def identity(dim: int) -> ExactMatrix:
+    return diagonal([ONE] * dim)
+
+
+def diagonal(entries: Sequence[RingScalar]) -> ExactMatrix:
+    return ExactMatrix.from_columns(len(entries), [{i: v} for i, v in enumerate(entries)])
+
+
+def matmul(*factors: ExactMatrix) -> ExactMatrix:
+    """The product of square matrices of one dimension, left to right."""
+    left = factors[0]
+    for right in factors[1:]:
+        if left.dim != right.dim:
+            raise ValueError("dimension mismatch")
+        out = [[ZERO] * left.dim for _ in range(left.dim)]
+        for arow, orow in zip(left.rows, out):
+            for aik, brow in zip(arow, right.rows):
+                if aik.is_zero:
+                    continue
+                for j, bkj in enumerate(brow):
+                    if not bkj.is_zero:
+                        orow[j] = orow[j] + aik * bkj
+        left = ExactMatrix(out)
+    return left
+
+
+def adjoint(m: ExactMatrix) -> ExactMatrix:
+    """The conjugate transpose."""
+    return ExactMatrix([[row[i].conjugate() for row in m.rows] for i in range(m.dim)])
+
+
+def is_unitary(m: ExactMatrix) -> bool:
+    return matmul(m, adjoint(m)) == identity(m.dim)
+
+
+def is_diagonal(m: ExactMatrix) -> bool:
+    return all(v.is_zero for i, row in enumerate(m.rows) for j, v in enumerate(row) if i != j)
+
+
+def is_almost_classical(m: ExactMatrix) -> bool:
+    """Whether the matrix is monomial: one nonzero entry per row and column."""
+    rows = [[not v.is_zero for v in row] for row in m.rows]
+    return all(sum(row) == 1 for row in rows) and all(sum(col) == 1 for col in zip(*rows))
+
+
+@dataclass(frozen=True)
+class PhaseSpec:
+    """A diagonal of eighth-root phases: entry omega^(sum sign*parity(mask, x)).
+
+    Each term is a nonempty set of qubit indices and a sign; parity is the
+    XOR of the basis bits selected by the mask.
+    """
+
+    n: int
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __init__(self, n: int, terms: Iterable[tuple[Iterable[int], int]]) -> None:
+        object.__setattr__(self, "n", n)
+        normalised = []
+        for mask, sign in terms:
+            qubits = tuple(sorted(set(mask)))
+            if not qubits:
+                raise ValueError("phase masks must be nonempty")
+            if any(q < 0 or q >= n for q in qubits):
+                raise ValueError("phase mask qubit out of range")
+            if sign not in (-1, 1):
+                raise ValueError("phase sign must be +1 or -1")
+            normalised.append((qubits, sign))
+        masks = [m for m, _ in normalised]
+        if len(set(masks)) != len(masks):
+            raise ValueError("phase masks must be distinct")
+        object.__setattr__(self, "terms", tuple(normalised))
+
+
+def phase_diagonal(spec: PhaseSpec) -> ExactMatrix:
+    """Materialise a PhaseSpec as an exact diagonal matrix."""
+    n = spec.n
+    bitmasks = [(sum(1 << (n - 1 - q) for q in mask), sign) for mask, sign in spec.terms]
+    return diagonal([
+        omega_pow(sum(sign * (bin(x & bits).count("1") & 1) for bits, sign in bitmasks))
+        for x in range(1 << n)
+    ])
+
+
+def single_qubit_cliffords() -> tuple[ExactMatrix, ...]:
+    """The 24 single-qubit Clifford operators modulo global phase.
+
+    Enumerated as products of the Hadamard and phase gates, with each
+    coset represented by its lexicographically least omega-scaling.
+    """
+
+    def canonical(m: ExactMatrix) -> ExactMatrix:
+        def key(mat: ExactMatrix) -> tuple:
+            return tuple((v.a, v.b, v.c, v.d, v.k) for row in mat.rows for v in row)
+
+        return min((m.scaled(omega_pow(j)) for j in range(8)), key=key)
+
+    generators = (gate_matrix("h"), gate_matrix("s"))
+    start = canonical(identity(2))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for g in generators:
+                candidate = canonical(matmul(g, m))
+                if candidate not in seen:
+                    seen.add(candidate)
+                    grown.append(candidate)
+        frontier = grown
+    return tuple(seen)
+
+
+def norm_squared(state: ExactState) -> RingScalar:
+    total = ZERO
+    for i in state.support():
+        v = state.amplitude(i)
+        total = total + v * v.conjugate()
+    return total
+
+
+def real_sign(v: RealValue) -> int:
+    """The exact sign of p + q*sqrt2.
+
+    The sqrt2 part decides unless q = 0, or p and q disagree in sign and
+    p^2 > 2*q^2.
+    """
+    p, q = v.p, v.q
+    if q == 0 or (p != 0 and (p > 0) != (q > 0) and p * p > 2 * q * q):
+        return (p > 0) - (p < 0)
+    return 1 if q > 0 else -1

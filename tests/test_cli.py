@@ -2,14 +2,22 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tdo
 from tdo.cli import main
 from tdo.text import emit, parse
 from tdo.constructions import multi_controlled_x, toffoli_tdepth1
 
 from conftest import FIXTURES
+from test_text import source_texts
 
 
 def run(argv):
@@ -77,6 +85,60 @@ def test_non_utf8_file_exits_1(tmp_path):
     error = report_of(err)["error"]
     assert error["file"] == str(bad)
     assert "UTF-8" in error["message"]
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.binary(), source_texts.map(str.encode)))
+def test_parse_any_bytes_reports_once(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tdo"
+    path.write_bytes(data)
+    code, out, err = run(["parse", str(path)])
+    assert code in (0, 1, 2)
+    assert report_of(err)["status"] == ("ok" if code == 0 else "error")
+    if code:
+        assert out == ""
+    else:
+        assert out == emit(parse(data.decode("utf-8")))
+
+
+# Enough for the interpreter and a small circuit, far below a list per wire.
+_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def run_limited(argv):
+    """`python -m tdo.cli ARGV` in a child whose address space is capped at 1 GiB."""
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdo.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["metrics", "rewrite"])
+def test_huge_declared_width_needs_no_per_wire_memory(tmp_path, command):
+    # Schedules keep state only for wires that gates touch.
+    huge = tmp_path / "huge.tdo"
+    huge.write_text("qubits 3000000000\ncx 0 1\n")
+    argv = [command, str(huge)] + (["--json"] if command == "metrics" else [])
+    code, out, err = run_limited(argv)
+    assert code == 0, err
+    payload = report_of(err)["payload"]
+    if command == "metrics":
+        assert payload == {
+            "t_count": 0, "t_depth_as_written": 0, "t_depth_scheduled": 0, "depth": 1,
+            "gate_count": 1, "n_main": 3000000000, "n_anc": 0,
+        }
+        assert json.loads(out) == payload
+    else:
+        assert payload == {"stages": 1, "ancillas_added": 0, "t_depth": 0}
+        assert out == "qubits 3000000000\ncx 0 1\n"
 
 
 def test_parse_echoes_canonical_text(tmp_path):

@@ -12,12 +12,11 @@ from tdo.sim import (
     TooWide,
     apply_circuit,
     equivalence_phase,
-    gate_matrix,
     induced_unitary,
-    is_almost_classical,
 )
 
 import reference_sim as ref
+from conftest import gate_unitary
 
 ALL_KINDS = sorted(GATES)
 MONOMIAL_KINDS = [kind for kind in ALL_KINDS if GATES[kind].action is not None]
@@ -186,12 +185,12 @@ def test_gate_table_record_matches_reference_matrix(kind):
     spec = GATES[kind]
     want = ref.gate_matrix(kind)
     if spec.action is None:
-        assert not is_almost_classical(want)
+        assert not ref.is_almost_classical(want)
     else:
         assert _action_matrix(kind) == want
     inverse = ref.gate_matrix(spec.inverse)
-    assert want @ inverse == ExactMatrix.identity(1 << spec.arity)
-    assert gate_matrix(kind) == want
+    assert ref.matmul(want, inverse) == ref.identity(1 << spec.arity)
+    assert gate_unitary(kind) == want
 
 
 def test_induced_unitary_width_cap(monkeypatch):
@@ -202,4 +201,4 @@ def test_induced_unitary_width_cap(monkeypatch):
     with pytest.raises(TooWide):
         induced_unitary(Circuit(3))
     # The cap counts main qubits only; ancillas are simulated, not stored.
-    assert induced_unitary(Circuit(2, 2)) == ExactMatrix.identity(4)
+    assert induced_unitary(Circuit(2, 2)) == ref.identity(4)

@@ -22,17 +22,18 @@ from tdo.obstruction import (
     split_tdepth1,
 )
 from tdo.ring import INV_SQRT2, RealValue, RingScalar, ZERO, ratio_is_rational
-from tdo.sim import ExactMatrix, TooWide, gate_matrix, unitary_of
+from tdo.sim import ExactMatrix, TooWide, induced_unitary
 
+import reference_sim as ref
 from conftest import gate, random_tdepth1_circuit
 
 THT = Circuit(1, 0, (gate("t", 0), gate("h", 0), gate("t", 0)))
 
 _PAULI = {
-    "I": ExactMatrix.identity(2),
-    "X": gate_matrix("x"),
-    "Y": gate_matrix("y"),
-    "Z": gate_matrix("z"),
+    "I": ref.identity(2),
+    "X": ref.gate_matrix("x"),
+    "Y": ref.gate_matrix("y"),
+    "Z": ref.gate_matrix("z"),
 }
 
 
@@ -92,17 +93,17 @@ def test_split_rejects_non_clifford_vocabulary():
 def test_single_qubit_conjugation_matches_matrices(kind, letter):
     p = PauliString(1, (letter,))
     got = conjugate_clifford(p, gate(kind, 0))
-    g = gate_matrix(kind)
-    assert _pauli_matrix(got) == g.dagger() @ _pauli_matrix(p) @ g
+    g = ref.gate_matrix(kind)
+    assert _pauli_matrix(got) == ref.matmul(ref.adjoint(g), _pauli_matrix(p), g)
 
 
 @pytest.mark.parametrize("kind", ["cx", "cz", "swap"])
 def test_two_qubit_conjugation_matches_matrices(kind):
-    g = gate_matrix(kind)
+    g = ref.gate_matrix(kind)
     for l1, l2 in itertools.product("IXYZ", repeat=2):
         p = PauliString(1, (l1, l2))
         got = conjugate_clifford(p, gate(kind, 0, 1))
-        assert _pauli_matrix(got) == g.dagger() @ _pauli_matrix(p) @ g, (l1, l2)
+        assert _pauli_matrix(got) == ref.matmul(ref.adjoint(g), _pauli_matrix(p), g), (l1, l2)
 
 
 def test_conjugation_rejects_non_clifford():
@@ -149,8 +150,8 @@ def test_tlayer_relations_match_matrix_oracle(kind, letter):
         total = ExactMatrix(
             [[total.rows[i][j] + m.rows[i][j] for j in range(2)] for i in range(2)]
         )
-    g = gate_matrix(kind)
-    assert total == g.dagger() @ _pauli_matrix(PauliString(1, (letter,))) @ g
+    g = ref.gate_matrix(kind)
+    assert total == ref.matmul(ref.adjoint(g), _pauli_matrix(PauliString(1, (letter,))), g)
 
 
 def test_direct_expectation_identity_circuit():
@@ -193,14 +194,15 @@ def test_path_equals_direct_on_random_circuits(rng):
 
 
 def test_tht_conjugated_observable_identity():
-    u = unitary_of(THT)
-    conjugated = u.dagger() @ gate_matrix("x") @ u
+    u = induced_unitary(THT)
+    x, y, z = _PAULI["X"], _PAULI["Y"], _PAULI["Z"]
+    conjugated = ref.matmul(ref.adjoint(u), x, u)
     half = RingScalar(1, 0, 0, 0, 2)
     want = [
         [
-            gate_matrix("x").rows[i][j] * half
-            + gate_matrix("y").rows[i][j] * half
-            + gate_matrix("z").rows[i][j] * INV_SQRT2
+            x.rows[i][j] * half
+            + y.rows[i][j] * half
+            + z.rows[i][j] * INV_SQRT2
             for j in range(2)
         ]
         for i in range(2)

@@ -1,13 +1,35 @@
 """Parser and emitter: round trips and positioned errors."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from tdo.circuit import Circuit
+from tdo.circuit import GATE_ARITY, Circuit
 from tdo.text import SourceError, emit, parse
 
 from conftest import gate
 from test_circuit import circuits
+
+# Lines that reach the parser's branches: a keyword or mnemonic, then
+# integers it must accept or refuse, usually as many as the head takes.
+_HEADS = st.sampled_from(["qubits", "ancillas", *GATE_ARITY, "QUBITS", "frob", "#"])
+_ARGS = st.sampled_from([
+    "0", "1", "2", "3", "00", "3000000000", "9" * 40, "-1", "+1", "1_0", "0x1",
+    "\u00b9", "\u0661", "\uff11",
+])
+
+
+@st.composite
+def _lines(draw):
+    head = draw(_HEADS)
+    count = GATE_ARITY.get(head, 1) if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    return " ".join([head, *draw(st.lists(_ARGS, min_size=count, max_size=count))])
+
+
+source_texts = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_lines(), st.text(max_size=6)), max_size=6).map("\n".join),
+    st.lists(_lines(), max_size=6).map(lambda lines: "\n".join(["qubits 4", *lines])),
+)
 
 
 def test_minimal_parse():
@@ -75,3 +97,14 @@ def test_errors_never_escape_as_other_exceptions():
 @given(circuits())
 def test_round_trip_identity(c):
     assert parse(emit(c)) == c
+
+
+@settings(max_examples=300)
+@given(source_texts)
+def test_parse_raises_only_source_error(text):
+    try:
+        c = parse(text)
+    except SourceError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+    else:
+        assert parse(emit(c)) == c
