@@ -8,7 +8,7 @@ operator admits no single-T-stage implementation at all.
 """
 
 from .circuit import Circuit, Gate, Metrics, dagger, depth, metrics, t_count, t_depth_as_written, t_depth_scheduled
-from .constructions import ConstructionId, build
+from .constructions import build
 from .obstruction import Verdict, obstruction_verdict
 from .rewriter import rewrite_budgeted, rewrite_tdepth1, validate_gateset
 from .ring import RealValue, RingScalar, omega_pow, ratio_is_rational
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit",
-    "ConstructionId",
     "ExactMatrix",
     "ExactState",
     "Gate",

@@ -75,28 +75,13 @@ GATES: dict[str, GateKind] = {
     "ccz": GateKind(3, "ccz", False, False, (((0, 1, 2), (), 4),)),
 }
 
-GATE_ARITY: dict[str, int] = {kind: spec.arity for kind, spec in GATES.items()}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
+    """A gate kind applied to a tuple of wires; `Circuit` checks it."""
+
     kind: str
     qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        arity = GATE_ARITY.get(self.kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple(self.qubits)
-        object.__setattr__(self, "qubits", qubits)
-        if len(qubits) != arity:
-            raise ValueError(
-                f"gate {self.kind!r} expects {arity} qubits, got {len(qubits)}"
-            )
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"gate {self.kind!r} repeats a qubit: {qubits}")
-        if any(q < 0 for q in qubits):
-            raise ValueError("qubit indices must be non-negative")
 
     @property
     def is_t(self) -> bool:
@@ -115,6 +100,9 @@ class Circuit:
 
     Ancillas occupy indices n_main .. n_main+n_anc-1. Instances are
     immutable values; every metric and transformation is a pure function.
+    This constructor is the one place a gate is checked: its kind is in
+    `GATES`, it has that kind's arity, and its wires are distinct and in
+    range. A bad gate raises ValueError.
     """
 
     n_main: int
@@ -127,8 +115,18 @@ class Circuit:
             raise ValueError("qubit counts must be non-negative")
         width = self.n_main + self.n_anc
         for gate in self.gates:
-            for q in gate.qubits:
-                if q >= width:
+            spec = GATES.get(gate.kind)
+            if spec is None:
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+            qubits = gate.qubits
+            if len(qubits) != spec.arity:
+                raise ValueError(
+                    f"gate {gate.kind!r} expects {spec.arity} qubits, got {len(qubits)}"
+                )
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"gate {gate.kind!r} repeats a qubit: {qubits}")
+            for q in qubits:
+                if not 0 <= q < width:
                     raise ValueError(
                         f"gate '{gate}' uses qubit {q}, but the circuit has "
                         f"width {width}"

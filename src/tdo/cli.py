@@ -2,9 +2,11 @@
 
 Circuit text goes to stdout so commands compose in pipelines; every run
 also writes exactly one JSON report line to stderr with the shape
-{"command", "status", "payload" | "error"}. Exit status: 0 success,
-1 domain error (parse failure, unknown construction, failed contract),
-2 I/O error. Output is byte-identical for identical inputs.
+{"command", "status", "payload" | "error"}; "command" is null when the
+command line is refused before its subcommand is known. Exit status:
+0 success, 1 domain error (parse failure, unknown construction, failed
+contract, a command line argparse refuses), 2 I/O error. Output is
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ import sys
 from dataclasses import asdict
 
 from .circuit import Circuit, Gate, metrics, t_depth_scheduled
-from .constructions import (
-    CONSTRUCTION_NAMES,
-    BadParams,
-    ConstructionId,
-    UnknownConstruction,
-    build,
-)
+from .constructions import CONSTRUCTIONS, BadParams, UnknownConstruction, build
 from .obstruction import obstruction_verdict
 from .rewriter import NotAlmostClassical, rewrite_budgeted
 from .ring import render_real
@@ -31,6 +27,30 @@ from .text import SourceError, emit, parse
 _BUILTIN_CIRCUITS = {
     "tht": Circuit(1, 0, (Gate("t", (0,)), Gate("h", (0,)), Gate("t", (0,)))),
 }
+
+
+class _UsageError(Exception):
+    """A command line the parser refuses, for the subcommand it reached."""
+
+    def __init__(self, command: str | None, message: str) -> None:
+        super().__init__(message)
+        self.command = command
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit 2."""
+
+    subcommand: str | None = None
+
+    def error(self, message: str):
+        raise _UsageError(self.subcommand, message)
+
+
+def _count(token: str) -> int:
+    """ASCII decimal digits only, as in circuit files; int() also takes '1_0'."""
+    if not (token.isascii() and token.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {token!r}")
+    return int(token)
 
 
 class _CliFailure(Exception):
@@ -87,12 +107,7 @@ def _cmd_metrics(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_emit(args: argparse.Namespace) -> tuple[dict, str | None]:
     try:
-        cid = ConstructionId(
-            args.name,
-            controls=args.controls,
-            use_ancilla=not args.no_ancilla,
-        )
-        c = build(cid)
+        c = build(args.name, controls=args.controls, use_ancilla=not args.no_ancilla)
     except (UnknownConstruction, BadParams) as exc:
         raise _CliFailure(1, {"message": str(exc)})
     payload: dict = {"name": args.name, "n_main": c.n_main, "n_anc": c.n_anc}
@@ -167,7 +182,7 @@ _COMMANDS = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tdo",
         description="Exact Clifford+T circuit toolkit: metrics, constructions, "
         "single-T-stage rewriting, equivalence, and impossibility certificates.",
@@ -182,14 +197,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="print the payload as JSON")
 
     p = sub.add_parser("emit", help="print a library construction")
-    p.add_argument("name", metavar="NAME", help=", ".join(CONSTRUCTION_NAMES))
-    p.add_argument("--controls", type=int, default=None, help="control count for multi-controlled-x")
+    p.add_argument("name", metavar="NAME", help=", ".join(CONSTRUCTIONS))
+    p.add_argument("--controls", type=_count, default=None, help="control count for multi-controlled-x")
     p.add_argument("--no-ancilla", action="store_true", help="choose the ancilla-free variant")
     p.add_argument("--json", action="store_true", help="include metrics in the report")
 
     p = sub.add_parser("rewrite", help="compress all T stages using ancillas")
     p.add_argument("file")
-    p.add_argument("--stages", type=int, default=1, help="T-stage budget (default 1)")
+    p.add_argument("--stages", type=_count, default=1, help="T-stage budget (default 1)")
 
     p = sub.add_parser("verify", help="exact equivalence of two circuits")
     p.add_argument("file1")
@@ -200,10 +215,12 @@ def _parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("file", nargs="?")
     group.add_argument("--builtin", choices=sorted(_BUILTIN_CIRCUITS))
+    for name, subparser in sub.choices.items():
+        subparser.subcommand = name
     return parser
 
 
-def _report(command: str, status: str, body: dict, stream) -> None:
+def _report(command: str | None, status: str, body: dict, stream) -> None:
     key = "payload" if status == "ok" else "error"
     report = {"command": command, "status": status, key: body}
     print(json.dumps(report, sort_keys=True), file=stream)
@@ -212,7 +229,13 @@ def _report(command: str, status: str, body: dict, stream) -> None:
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    args = _parser().parse_args(argv)
+    try:
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            raise _UsageError(args.command, f"unrecognized arguments: {' '.join(extra)}")
+    except _UsageError as exc:
+        _report(exc.command, "error", {"message": str(exc)}, stderr)
+        return 1
     try:
         payload, text = _COMMANDS[args.command](args)
     except _CliFailure as failure:

@@ -4,7 +4,8 @@ Every builder returns a plain Circuit over the common gate set, with its
 ancilla block declared, and is checked in the test suite against an exact
 oracle (a primitive gate matrix, a phase diagonal, or a brute-force
 permutation) that the suite builds without the library's gate table.
-Names double as the command-line `emit` vocabulary.
+`CONSTRUCTIONS` names them; the names double as the command-line `emit`
+vocabulary.
 
 The single-stage doubly-controlled pieces follow one template: CNOTs fan
 the needed parities onto wires, one stage of t/tdg applies all the
@@ -13,25 +14,15 @@ eighth-root phases at once, and the mirrored CNOTs uncompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from .circuit import Circuit, Gate, invert_gates
 from .ring import ONE
 from .sim import induced_columns
 
-CONSTRUCTION_NAMES = (
-    "toffoli-nc",
-    "toffoli-nc4",
-    "toffoli-ammr",
-    "ccz-tdepth1",
-    "toffoli-tdepth1",
-    "cc-minus-iz",
-    "cc-minus-iz-noanc",
-    "cc-minus-ix",
-    "add-control",
-    "multi-controlled-x",
-    "controlled-t",
-)
+# The most controls multi_controlled_x builds, at about 28 gates each.
+# Emitting 10000 stays well inside a 1 GiB address space; 10^8 does not.
+MAX_CONTROLS = 10000
 
 
 class UnknownConstruction(ValueError):
@@ -48,23 +39,6 @@ class NotAControlledCircuit(Exception):
 
 def _g(kind: str, *qubits: int) -> Gate:
     return Gate(kind, qubits)
-
-
-@dataclass(frozen=True)
-class ConstructionId:
-    """A library entry: a name plus its parameters, when it takes any."""
-
-    name: str
-    controls: int | None = None
-    use_ancilla: bool = True
-
-    def __post_init__(self) -> None:
-        if self.name not in CONSTRUCTION_NAMES:
-            raise UnknownConstruction(f"unknown construction {self.name!r}")
-        if (self.name == "multi-controlled-x") != (self.controls is not None):
-            raise BadParams(
-                "'multi-controlled-x' takes a control count; other constructions do not"
-            )
 
 
 def toffoli_nc() -> Circuit:
@@ -213,6 +187,8 @@ def multi_controlled_x(k: int, use_ancilla: bool = True) -> Circuit:
     """
     if k < 1:
         raise BadParams("control count must be at least 1")
+    if k > MAX_CONTROLS:
+        raise BadParams(f"control count must be at most {MAX_CONTROLS}")
     if k == 1:
         return Circuit(2, 0, (_g("cx", 0, 1),))
     if k == 2:
@@ -267,33 +243,43 @@ def controlled_t(use_ancilla: bool = True) -> Circuit:
     return add_control(Circuit(1, 0, (_g("t", 0),)), use_ancilla=use_ancilla)
 
 
-def build(cid: ConstructionId) -> Circuit:
-    """Materialise a construction by id; see CONSTRUCTION_NAMES."""
-    name = cid.name
-    if name == "toffoli-nc":
-        return toffoli_nc()
-    if name == "toffoli-nc4":
-        return toffoli_nc4()
-    if name == "toffoli-ammr":
-        return toffoli_ammr()
-    if name == "ccz-tdepth1":
-        return ccz_tdepth1()
-    if name == "toffoli-tdepth1":
-        return toffoli_tdepth1()
-    if name == "cc-minus-iz":
-        return cc_minus_iz(use_ancilla=cid.use_ancilla)
-    if name == "cc-minus-iz-noanc":
-        return cc_minus_iz(use_ancilla=False)
-    if name == "cc-minus-ix":
-        return cc_minus_ix(use_ancilla=cid.use_ancilla)
-    if name == "add-control":
-        # Library demo: one more control on a CNOT gives a Toffoli.
-        return add_control(
-            Circuit(2, 0, (_g("cx", 0, 1),)), use_ancilla=cid.use_ancilla
+def _one_form(builder: Callable[[], Circuit]) -> Callable[[bool], Circuit]:
+    """A registry entry with no ancilla-free variant: use_ancilla is ignored."""
+    return lambda use_ancilla: builder()
+
+
+# Name -> builder(use_ancilla), in the order `tdo emit --help` lists them;
+# multi-controlled-x's builder takes the control count first.
+CONSTRUCTIONS: dict[str, Callable[..., Circuit]] = {
+    "toffoli-nc": _one_form(toffoli_nc),
+    "toffoli-nc4": _one_form(toffoli_nc4),
+    "toffoli-ammr": _one_form(toffoli_ammr),
+    "ccz-tdepth1": _one_form(ccz_tdepth1),
+    "toffoli-tdepth1": _one_form(toffoli_tdepth1),
+    "cc-minus-iz": cc_minus_iz,
+    "cc-minus-iz-noanc": _one_form(lambda: cc_minus_iz(use_ancilla=False)),
+    "cc-minus-ix": cc_minus_ix,
+    # Library demo: one more control on a CNOT gives a Toffoli.
+    "add-control": lambda use_ancilla: add_control(
+        Circuit(2, 0, (_g("cx", 0, 1),)), use_ancilla=use_ancilla
+    ),
+    "multi-controlled-x": multi_controlled_x,
+    "controlled-t": controlled_t,
+}
+
+
+def build(name: str, *, controls: int | None = None, use_ancilla: bool = True) -> Circuit:
+    """Materialise the named construction; see CONSTRUCTIONS.
+
+    Only multi-controlled-x takes a control count, and it requires one.
+    """
+    builder = CONSTRUCTIONS.get(name)
+    if builder is None:
+        raise UnknownConstruction(f"unknown construction {name!r}")
+    if (name == "multi-controlled-x") != (controls is not None):
+        raise BadParams(
+            "'multi-controlled-x' takes a control count; other constructions do not"
         )
-    if name == "multi-controlled-x":
-        assert cid.controls is not None
-        return multi_controlled_x(cid.controls, use_ancilla=cid.use_ancilla)
-    if name == "controlled-t":
-        return controlled_t(use_ancilla=cid.use_ancilla)
-    raise UnknownConstruction(f"unknown construction {name!r}")
+    if controls is None:
+        return builder(use_ancilla)
+    return builder(controls, use_ancilla)

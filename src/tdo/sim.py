@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping, Sequence
 
-from .circuit import GATES, Circuit
+from .circuit import GATES, Circuit, Gate
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
@@ -297,10 +297,18 @@ def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
 
     Ancillas start in |0>. Every input is simulated; AncillaContractViolated
     reports the first whose output touches a nonzero ancilla pattern. The
-    main register is capped like state simulation (TooWide).
+    main register is capped like state simulation (TooWide). An ancilla
+    that no gate touches stays |0> and changes no column, so only the
+    touched ancillas are simulated, renumbered densely after the main wires.
     """
     if c.n_main > _cap():
         raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
+    touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
+    if len(touched) < c.n_anc:
+        wire = {q: c.n_main + i for i, q in enumerate(touched)}
+        c = Circuit(c.n_main, len(touched), tuple(
+            Gate(gate.kind, tuple(wire.get(q, q) for q in gate.qubits)) for gate in c.gates
+        ))
     n, n_anc = c.width, c.n_anc
     steps = _compile(c)
     anc_mask = (1 << n_anc) - 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import GATE_ARITY, Circuit, Gate
+from .circuit import GATES, Circuit, Gate
 
 _TOKEN = re.compile(r"\S+")
 
@@ -74,9 +74,11 @@ def parse(text: str) -> Circuit:
             continue
 
         ancillas_allowed = False
-        arity = GATE_ARITY.get(word)
-        if arity is None:
+        # Positioned checks for outside input; Circuit checks each gate again.
+        spec = GATES.get(word)
+        if spec is None:
             raise SourceError(lineno, col, f"unknown mnemonic {word!r}")
+        arity = spec.arity
         if len(args) < arity:
             raise SourceError(
                 lineno, col, f"gate '{word}' expects {arity} qubit indices, got {len(args)}"

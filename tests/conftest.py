@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tdo.circuit import GATE_ARITY, Circuit, Gate
+from tdo.circuit import GATES, Circuit, Gate
 from tdo.sim import ExactMatrix, induced_unitary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -18,13 +18,13 @@ def gate(kind, *qubits):
 
 def gate_unitary(kind: str) -> ExactMatrix:
     """The library's matrix of one gate kind over its own wires."""
-    n = GATE_ARITY[kind]
+    n = GATES[kind].arity
     return induced_unitary(Circuit(n, 0, (Gate(kind, tuple(range(n))),)))
 
 
 def random_gate(rng: random.Random, n: int, pool) -> Gate:
-    kind = rng.choice([k for k in pool if GATE_ARITY[k] <= n])
-    return Gate(kind, tuple(rng.sample(range(n), GATE_ARITY[kind])))
+    kind = rng.choice([k for k in pool if GATES[k].arity <= n])
+    return Gate(kind, tuple(rng.sample(range(n), GATES[kind].arity)))
 
 
 def random_monomial_circuit(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from tdo.circuit import GATE_ARITY, Circuit, Gate
+from tdo.circuit import GATES, Circuit, Gate
 from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
 from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, WidthMismatch
 
@@ -127,7 +127,7 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
 
 def gate_matrix(kind: str) -> ExactMatrix:
     """The matrix of one gate kind over its own wires, most significant first."""
-    n = GATE_ARITY[kind]
+    n = GATES[kind].arity
     return induced_unitary(Circuit(n, 0, (Gate(kind, tuple(range(n))),)))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: streams, exit codes, and determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -141,6 +142,62 @@ def test_huge_declared_width_needs_no_per_wire_memory(tmp_path, command):
         assert out == "qubits 3000000000\ncx 0 1\n"
 
 
+@pytest.mark.parametrize("controls, code", [("10000", 0), ("10001", 1), ("100000000", 1)])
+def test_emit_control_count_is_bounded(controls, code):
+    # Above MAX_CONTROLS the builder refuses before it allocates anything.
+    got, out, err = run_limited(["emit", "multi-controlled-x", "--controls", controls])
+    assert got == code, err
+    report = report_of(err)
+    if code:
+        assert out == ""
+        assert report["error"]["message"] == "control count must be at most 10000"
+    else:
+        assert report["payload"]["n_main"] == 10001
+
+
+@pytest.mark.parametrize("body, equivalent", [
+    ("cx 0 1\n", None),
+    ("t 0\ncx 0 2999999999\ncx 0 2999999999\n", True),
+])
+def test_verify_ignores_untouched_ancillas(tmp_path, body, equivalent):
+    # Only the ancillas that gates touch are simulated.
+    path = tmp_path / "anc.tdo"
+    path.write_text("qubits 1\nancillas 3000000000\n" + body)
+    code, out, err = run_limited(["verify", str(path), str(path)])
+    report = report_of(err)
+    if equivalent is None:
+        assert (code, out) == (1, "")
+        assert report["error"]["basis_input"] == 1
+    else:
+        assert code == 0, err
+        assert json.loads(out) == {"equivalent": True}
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["verify", "a.tdo"], "verify"),
+    (["frob"], None),
+    ([], None),
+    (["parse", "a.tdo", "b.tdo"], "parse"),
+    (["rewrite", "a.tdo", "--stages", "abc"], "rewrite"),
+    (["rewrite", "a.tdo", "--stages", "1_0"], "rewrite"),
+    (["emit", "multi-controlled-x", "--controls", "\uff13"], "emit"),
+], ids=["missing-file2", "unknown-command", "no-command", "extra-argument",
+        "stages-abc", "stages-underscore", "controls-fullwidth"])
+def test_usage_error_reports_one_json_line(argv, command):
+    # argparse would print usage text and exit 2, the I/O error code.
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    report = report_of(err)
+    assert (report["command"], report["status"]) == (command, "error")
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["emit", "--help"])
+    assert exit_.value.code == 0
+    assert "toffoli-nc, toffoli-nc4," in capsys.readouterr().out
+
+
 def test_parse_echoes_canonical_text(tmp_path):
     noisy = tmp_path / "noisy.tdo"
     noisy.write_text("qubits 2\n# c\ncx  0   1\n")
@@ -161,6 +218,84 @@ def test_emit_multi_controlled_x():
     code, out, _ = run(["emit", "multi-controlled-x", "--controls", "5"])
     assert code == 0
     assert parse(out) == multi_controlled_x(5)
+
+
+# sha256 of `tdo emit` stdout, pinned before the construction registry
+# replaced the name checks and the dispatch chain; every name appears with
+# and without --no-ancilla, which six names ignore.
+EMIT_SHA256 = {
+    "toffoli-nc":
+        "2071290cc78c299da4d27463482b21e3d65e3f3359d3f3f9172504b9ce17a773",
+    "toffoli-nc --no-ancilla":
+        "2071290cc78c299da4d27463482b21e3d65e3f3359d3f3f9172504b9ce17a773",
+    "toffoli-nc4":
+        "f3db24748fdc7b691f9073b9543467d5484832a28e091339f2eb7721b52f430b",
+    "toffoli-nc4 --no-ancilla":
+        "f3db24748fdc7b691f9073b9543467d5484832a28e091339f2eb7721b52f430b",
+    "toffoli-ammr":
+        "09600ae9739b1a0c720133147d346993b315db3b60a185a4493c25356765369a",
+    "toffoli-ammr --no-ancilla":
+        "09600ae9739b1a0c720133147d346993b315db3b60a185a4493c25356765369a",
+    "ccz-tdepth1":
+        "1c625f81ed11032ac5d0c839c8ce24fe4174dc4fa79cb37e317dfc02692bc985",
+    "ccz-tdepth1 --no-ancilla":
+        "1c625f81ed11032ac5d0c839c8ce24fe4174dc4fa79cb37e317dfc02692bc985",
+    "toffoli-tdepth1":
+        "d985e6b869f4727f221838daa80fdf7b3176871c5c9de74f89fd00ebf4a5319f",
+    "toffoli-tdepth1 --no-ancilla":
+        "d985e6b869f4727f221838daa80fdf7b3176871c5c9de74f89fd00ebf4a5319f",
+    "cc-minus-iz":
+        "abf0e9f3673b41d00de0210ef929b5e71558e6ed265dad7eda8fd46cbe2f9dc5",
+    "cc-minus-iz --no-ancilla":
+        "6f0193c7938d41c510656e58dda228022094b7afea00d656f3821c78df98e1f4",
+    "cc-minus-iz-noanc":
+        "6f0193c7938d41c510656e58dda228022094b7afea00d656f3821c78df98e1f4",
+    "cc-minus-iz-noanc --no-ancilla":
+        "6f0193c7938d41c510656e58dda228022094b7afea00d656f3821c78df98e1f4",
+    "cc-minus-ix":
+        "ae60181b6c76f7e9f19dea855e852adcb72adb7d02258a0b50eb9f75d0835261",
+    "cc-minus-ix --no-ancilla":
+        "13e12ef78ec6f0f2d846957a254bbfce3b3087eb8be1b43c3d4ac9cd7e30e139",
+    "add-control":
+        "c26c15a6c5338ca1ecf6f8c29e0da34e932a7beed222be1bb54674a549fb2c6a",
+    "add-control --no-ancilla":
+        "9d86d69d47e21d02beae78c5f006afec7ffd2088eaa6fa4aafa5bd8ffa7c43ae",
+    "controlled-t":
+        "ab568779b4817ab8ed4ba853a8a3eb8d6e950e1c7323e2551c51b5436c11967e",
+    "controlled-t --no-ancilla":
+        "417d9884fb4a39daebd7a50be4ddf34d1f9f094d4224c387e7e3cf69f226e5ec",
+    "multi-controlled-x --controls 1":
+        "60aca67c0825047c0952c09eaa4e7d12590c4da8e64f39d5ac5352fe97f77c16",
+    "multi-controlled-x --controls 1 --no-ancilla":
+        "60aca67c0825047c0952c09eaa4e7d12590c4da8e64f39d5ac5352fe97f77c16",
+    "multi-controlled-x --controls 2":
+        "d985e6b869f4727f221838daa80fdf7b3176871c5c9de74f89fd00ebf4a5319f",
+    "multi-controlled-x --controls 2 --no-ancilla":
+        "d985e6b869f4727f221838daa80fdf7b3176871c5c9de74f89fd00ebf4a5319f",
+    "multi-controlled-x --controls 3":
+        "98a0311f32e1a3375e6f4eb421c9537015540dd10f576e0bc33434c0ca3ecdfb",
+    "multi-controlled-x --controls 3 --no-ancilla":
+        "9ff92b245dca1f1997b4ad955db4da1bcd58653f46bfa589287c7be7f9d69040",
+    "multi-controlled-x --controls 4":
+        "dc325afba4ad167444186c81630d3292f1b61a998537a6fa2d33f16e748228a3",
+    "multi-controlled-x --controls 4 --no-ancilla":
+        "4cbcbb73b1d9caf0af50bbe3dd86cca84809d464645402b7211e21e8b5c00656",
+    "multi-controlled-x --controls 5":
+        "2eb76aef01d6c746693fdef64ed99f9edccce6120ebb83df2d6d9904d96afcd1",
+    "multi-controlled-x --controls 5 --no-ancilla":
+        "89eaf4c8355832386793e5f22e7fc2fa53c14825a87e7cbc4e9ab618afea585d",
+    "multi-controlled-x --controls 6":
+        "c3c5ed67dbaf64e83be6ee75ee71938e01a4f4f0198c1e6d351704d816194a33",
+    "multi-controlled-x --controls 6 --no-ancilla":
+        "0c6a312de742bd8a77e2c3edf9ebbcf3c651ad4f105695252a55f352c42acd6b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EMIT_SHA256))
+def test_emit_stdout_is_pinned(argv):
+    code, out, _ = run(["emit", *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SHA256[argv]
 
 
 def test_emit_unknown_name_exits_1():

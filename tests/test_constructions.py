@@ -4,9 +4,9 @@ import pytest
 
 from tdo.circuit import Circuit, dagger, metrics
 from tdo.constructions import (
+    CONSTRUCTIONS,
+    MAX_CONTROLS,
     BadParams,
-    CONSTRUCTION_NAMES,
-    ConstructionId,
     NotAControlledCircuit,
     UnknownConstruction,
     add_control,
@@ -27,6 +27,7 @@ from tdo.text import parse
 
 import reference_sim as ref
 from conftest import FIXTURES, gate
+from test_cli import EMIT_SHA256
 
 # Oracles from the reference simulator, which does not read GATES.
 CCX = ref.gate_matrix("ccx")
@@ -171,6 +172,8 @@ def test_multi_controlled_x_t_count_formula():
 def test_multi_controlled_x_rejects_bad_counts():
     with pytest.raises(BadParams):
         multi_controlled_x(0)
+    with pytest.raises(BadParams, match=f"at most {MAX_CONTROLS}"):
+        multi_controlled_x(MAX_CONTROLS + 1)
 
 
 def test_controlled_t_metrics():
@@ -195,15 +198,17 @@ def test_every_library_circuit_has_a_unitary_induced_operator():
 
 
 def test_build_dispatch_and_ids():
-    for name in CONSTRUCTION_NAMES:
-        if name == "multi-controlled-x":
-            cid = ConstructionId(name, controls=3)
-        else:
-            cid = ConstructionId(name)
-        assert build(cid).n_main >= 1
-    with pytest.raises(UnknownConstruction):
-        ConstructionId("nosuch")
-    with pytest.raises(BadParams):
-        ConstructionId("toffoli-nc", controls=2)
-    with pytest.raises(BadParams):
-        ConstructionId("multi-controlled-x")
+    # The pinned emit outputs cover every name, in both ancilla forms.
+    assert {argv.split()[0] for argv in EMIT_SHA256} == set(CONSTRUCTIONS)
+    for name in CONSTRUCTIONS:
+        controls = 3 if name == "multi-controlled-x" else None
+        assert build(name, controls=controls).n_main >= 1
+    assert build("cc-minus-ix", use_ancilla=False) == cc_minus_ix(False)
+    assert build("multi-controlled-x", controls=4, use_ancilla=False) == multi_controlled_x(4, False)
+    # The name is checked before the control count.
+    with pytest.raises(UnknownConstruction, match="unknown construction 'nosuch'"):
+        build("nosuch", controls=2)
+    with pytest.raises(BadParams, match="takes a control count"):
+        build("toffoli-nc", controls=2)
+    with pytest.raises(BadParams, match="takes a control count"):
+        build("multi-controlled-x")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tdo.circuit import GATE_ARITY, Circuit
+from tdo.circuit import GATES, Circuit
 from tdo.ring import IM, INV_SQRT2, OMEGA, ONE, RingScalar, omega_pow
 from tdo.sim import (
     AncillaContractViolated,
@@ -35,7 +35,7 @@ def test_hadamard_entries_and_involution():
 
 
 def test_all_gate_matrices_are_unitary():
-    for kind in GATE_ARITY:
+    for kind in GATES:
         assert ref.is_unitary(gate_unitary(kind)), kind
 
 

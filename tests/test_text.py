@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdo.circuit import GATE_ARITY, Circuit
+from tdo.circuit import GATES, Circuit
 from tdo.text import SourceError, emit, parse
 
 from conftest import gate
@@ -11,7 +11,7 @@ from test_circuit import circuits
 
 # Lines that reach the parser's branches: a keyword or mnemonic, then
 # integers it must accept or refuse, usually as many as the head takes.
-_HEADS = st.sampled_from(["qubits", "ancillas", *GATE_ARITY, "QUBITS", "frob", "#"])
+_HEADS = st.sampled_from(["qubits", "ancillas", *GATES, "QUBITS", "frob", "#"])
 _ARGS = st.sampled_from([
     "0", "1", "2", "3", "00", "3000000000", "9" * 40, "-1", "+1", "1_0", "0x1",
     "\u00b9", "\u0661", "\uff11",
@@ -21,7 +21,8 @@ _ARGS = st.sampled_from([
 @st.composite
 def _lines(draw):
     head = draw(_HEADS)
-    count = GATE_ARITY.get(head, 1) if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    arity = GATES[head].arity if head in GATES else 1
+    count = arity if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
     return " ".join([head, *draw(st.lists(_ARGS, min_size=count, max_size=count))])
 
 
