@@ -7,7 +7,7 @@ a single T stage using ancillas, and certifies when a single-wire
 operator admits no single-T-stage implementation at all.
 """
 
-from .circuit import Circuit, Gate, Metrics, dagger, depth, metrics, t_count, t_depth_as_written, t_depth_scheduled
+from .circuit import Circuit, DomainError, Gate, Metrics, dagger, depth, metrics, t_count, t_depth_as_written, t_depth_scheduled
 from .constructions import build
 from .obstruction import Verdict, obstruction_verdict
 from .rewriter import rewrite_budgeted, rewrite_tdepth1, validate_gateset
@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit",
+    "DomainError",
     "ExactMatrix",
     "ExactState",
     "Gate",

@@ -32,6 +32,23 @@ from dataclasses import dataclass
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
+class DomainError(Exception):
+    """A refused input or request, as opposed to a fault in the library.
+
+    The command line reports one as its exit-1 error line: the message
+    plus the exception's own attributes.
+    """
+
+
+def is_ascii_decimal(token: str) -> bool:
+    """Whether token is ASCII digits only, the one spelling of an integer.
+
+    int() alone also accepts signs, spaces, underscores and non-ASCII
+    digits; str.isdigit alone accepts digits such as '¹' that int() rejects.
+    """
+    return token.isascii() and token.isdigit()
+
+
 @dataclass(frozen=True, slots=True)
 class GateKind:
     """Everything the library knows about one gate kind.

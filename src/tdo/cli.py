@@ -4,9 +4,9 @@ Circuit text goes to stdout so commands compose in pipelines; every run
 also writes exactly one JSON report line to stderr with the shape
 {"command", "status", "payload" | "error"}; "command" is null when the
 command line is refused before its subcommand is known. Exit status:
-0 success, 1 domain error (parse failure, unknown construction, failed
-contract, a command line argparse refuses), 2 I/O error. Output is
-byte-identical for identical inputs.
+0 success, 1 domain error (any `DomainError`, reported as its message and
+its own fields, or a command line argparse refuses), 2 I/O error. Output
+is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import json
 import sys
 from dataclasses import asdict
 
-from .circuit import Circuit, Gate, metrics, t_depth_scheduled
-from .constructions import CONSTRUCTIONS, BadParams, UnknownConstruction, build
+from .circuit import Circuit, DomainError, Gate, is_ascii_decimal, metrics, t_depth_scheduled
+from .constructions import CONSTRUCTIONS, build
 from .obstruction import obstruction_verdict
-from .rewriter import NotAlmostClassical, rewrite_budgeted
+from .rewriter import rewrite_budgeted
 from .ring import render_real
-from .sim import AncillaContractViolated, TooWide, equivalence_phase
+from .sim import equivalence_phase, width_cap
 from .text import SourceError, emit, parse
 
 _BUILTIN_CIRCUITS = {
@@ -47,13 +47,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _count(token: str) -> int:
-    """ASCII decimal digits only, as in circuit files; int() also takes '1_0'."""
-    if not (token.isascii() and token.isdigit()):
+    """A count spelled as in circuit files."""
+    if not is_ascii_decimal(token):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {token!r}")
     return int(token)
 
 
 class _CliFailure(Exception):
+    """A failure the CLI finds itself: an unreadable or non-UTF-8 file, --stages 0."""
+
     def __init__(self, code: int, error: dict) -> None:
         super().__init__(error.get("message", ""))
         self.code = code
@@ -78,15 +80,8 @@ def _read_circuit(path: str) -> Circuit:
     try:
         return parse(source)
     except SourceError as exc:
-        raise _CliFailure(
-            1,
-            {
-                "message": exc.message,
-                "file": path,
-                "line": exc.line,
-                "column": exc.column,
-            },
-        )
+        exc.file = path  # reported with the exception's other fields
+        raise
 
 
 def _cmd_parse(args: argparse.Namespace) -> tuple[dict, str | None]:
@@ -106,10 +101,7 @@ def _cmd_metrics(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_emit(args: argparse.Namespace) -> tuple[dict, str | None]:
-    try:
-        c = build(args.name, controls=args.controls, use_ancilla=not args.no_ancilla)
-    except (UnknownConstruction, BadParams) as exc:
-        raise _CliFailure(1, {"message": str(exc)})
+    c = build(args.name, controls=args.controls, use_ancilla=not args.no_ancilla)
     payload: dict = {"name": args.name, "n_main": c.n_main, "n_anc": c.n_anc}
     if args.json:
         payload["metrics"] = asdict(metrics(c))
@@ -120,12 +112,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> tuple[dict, str | None]:
     c = _read_circuit(args.file)
     if args.stages < 1:
         raise _CliFailure(1, {"message": "--stages must be at least 1"})
-    try:
-        out = rewrite_budgeted(c, args.stages)
-    except NotAlmostClassical as exc:
-        raise _CliFailure(
-            1, {"message": str(exc), "position": exc.position, "kind": exc.kind}
-        )
+    out = rewrite_budgeted(c, args.stages)
     payload = {
         "stages": args.stages,
         "ancillas_added": out.n_anc - c.n_anc,
@@ -137,13 +124,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> tuple[dict, str | None]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     c1 = _read_circuit(args.file1)
     c2 = _read_circuit(args.file2)
-    try:
-        phase = equivalence_phase(c1, c2)
-    except ValueError as exc:
-        # WidthMismatch, TooWide and a non-integer TDO_MAX_QUBITS.
-        raise _CliFailure(1, {"message": str(exc)})
-    except AncillaContractViolated as exc:
-        raise _CliFailure(1, {"message": str(exc), "basis_input": exc.basis_input})
+    phase = equivalence_phase(c1, c2)
     if args.up_to_global_phase:
         payload: dict = {"equivalent": phase is not None}
         if phase is not None:
@@ -158,10 +139,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str | None]:
         c = _BUILTIN_CIRCUITS[args.builtin]
     else:
         c = _read_circuit(args.file)
-    try:
-        verdict = obstruction_verdict(c)
-    except (TooWide, ValueError) as exc:
-        raise _CliFailure(1, {"message": str(exc)})
+    verdict = obstruction_verdict(c)
     payload = {
         "e_zero": render_real(verdict.e_zero),
         "e_plus": render_real(verdict.e_plus),
@@ -237,7 +215,11 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         _report(exc.command, "error", {"message": str(exc)}, stderr)
         return 1
     try:
+        width_cap()  # a bad TDO_MAX_QUBITS fails every command, before any file is read
         payload, text = _COMMANDS[args.command](args)
+    except DomainError as exc:
+        _report(args.command, "error", {"message": str(exc), **vars(exc)}, stderr)
+        return 1
     except _CliFailure as failure:
         _report(args.command, "error", failure.error, stderr)
         return failure.code

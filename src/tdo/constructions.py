@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .circuit import Circuit, Gate, invert_gates
+from .circuit import Circuit, DomainError, Gate, invert_gates
 from .ring import ONE
 from .sim import induced_columns
 
@@ -25,15 +25,15 @@ from .sim import induced_columns
 MAX_CONTROLS = 10000
 
 
-class UnknownConstruction(ValueError):
+class UnknownConstruction(DomainError, ValueError):
     pass
 
 
-class BadParams(ValueError):
+class BadParams(DomainError, ValueError):
     pass
 
 
-class NotAControlledCircuit(Exception):
+class NotAControlledCircuit(DomainError):
     """add_control requires qubit 0 of the inner circuit to be a control."""
 
 

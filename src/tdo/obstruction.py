@@ -25,7 +25,7 @@ from itertools import product
 
 from .circuit import GATES, Circuit, Gate
 from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
-from .sim import ExactState, TooWide, _cap, apply_circuit
+from .sim import ExactState, TooWide, WidthMismatch, apply_circuit, width_cap
 
 NO_TDEPTH1 = "no-tdepth1-possible"
 INCONCLUSIVE = "inconclusive"
@@ -272,7 +272,7 @@ def _initial_state(c: Circuit, phi: str) -> ExactState:
 def expectation_direct(c: Circuit, phi: str) -> RealValue:
     """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation."""
     n = c.width
-    if n > _cap():
+    if n > width_cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
     state = apply_circuit(_initial_state(c, phi), c)
     top = 1 << (n - 1)
@@ -304,7 +304,7 @@ def obstruction_verdict(c: Circuit) -> Verdict:
     rational ratio (or e_plus = 0) decides nothing.
     """
     if c.n_main != 1:
-        raise ValueError("the obstruction test takes a single-main-qubit circuit")
+        raise WidthMismatch("the obstruction test takes a single-main-qubit circuit")
     e_zero = expectation_direct(c, "zero")
     e_plus = expectation_direct(c, "plus")
     if e_plus.is_zero:

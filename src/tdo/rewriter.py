@@ -27,10 +27,10 @@ shared ancilla pool yields T-depth at most S with a pool of ceil(t/S).
 
 from __future__ import annotations
 
-from .circuit import GATES, Circuit, Gate, invert_gates, t_count
+from .circuit import GATES, Circuit, DomainError, Gate, invert_gates, t_count
 
 
-class NotAlmostClassical(Exception):
+class NotAlmostClassical(DomainError):
     """The input mixes in a gate this pass cannot move past, such as h."""
 
     def __init__(self, kind: str, position: int) -> None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_OMEGA_COMPLEX = complex(2**-0.5, 2**-0.5)
-
 
 class NotReal(Exception):
     """A scalar with a nonzero imaginary part was asked for its real form."""
@@ -87,16 +85,6 @@ class RingScalar:
             Fraction(self.b, 1 << ((self.k - 1) // 2)),
             Fraction(self.a, 1 << ((self.k + 1) // 2)),
         )
-
-    def approx(self) -> complex:
-        """Floating-point view for display only; carries no exactness."""
-        num = (
-            self.a
-            + self.b * _OMEGA_COMPLEX
-            + self.c * 1j
-            + self.d * _OMEGA_COMPLEX**3
-        )
-        return num / (2**0.5) ** self.k
 
     def __add__(self, other: RingScalar | int) -> RingScalar:
         if isinstance(other, int):

@@ -27,8 +27,11 @@ columns directly; only `induced_unitary` densifies them into an
 
 One width cap bounds the 2^n simulations: 12 qubits for state simulation
 and for the main register of an induced operator, whose columns are
-simulated one per main-register basis input. The TDO_MAX_QUBITS
-environment variable, a string of ASCII digits, overrides it.
+simulated one per main-register basis input. The same cap bounds the
+support: a state that an h leaves with more than 2^cap nonzero amplitudes
+raises TooWide, so ancillas that gates touch cannot grow a column past
+what a full cap-wide state holds. The TDO_MAX_QUBITS environment variable,
+a string of ASCII digits, overrides it; `width_cap()` reads it on each use.
 """
 
 from __future__ import annotations
@@ -36,21 +39,25 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping, Sequence
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import GATES, Circuit, DomainError, Gate, is_ascii_decimal
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
 
 
-class WidthMismatch(ValueError):
-    """State and circuit widths disagree."""
+class WidthMismatch(DomainError, ValueError):
+    """Widths disagree: a state and its circuit, or a circuit and its use."""
 
 
-class TooWide(ValueError):
+class TooWide(DomainError, ValueError):
     """The request exceeds the configured simulation width cap."""
 
 
-class AncillaContractViolated(Exception):
+class BadWidthCap(DomainError, ValueError):
+    """TDO_MAX_QUBITS is set to something other than ASCII digits."""
+
+
+class AncillaContractViolated(DomainError):
     """Some basis input leaves an ancilla nonzero or entangled."""
 
     def __init__(self, basis_input: int) -> None:
@@ -60,13 +67,13 @@ class AncillaContractViolated(Exception):
         self.basis_input = basis_input
 
 
-def _cap() -> int:
+def width_cap() -> int:
+    """The width cap, read from TDO_MAX_QUBITS on every call."""
     env = os.environ.get("TDO_MAX_QUBITS")
     if not env:
         return DEFAULT_CAP
-    # int() alone also accepts signs, spaces, underscores and non-ASCII digits.
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
+    if not is_ascii_decimal(env):
+        raise BadWidthCap(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
     return int(env)
 
 
@@ -234,18 +241,23 @@ def apply_circuit(
     """Run the gate list over the state; exact amplitudes, new state.
 
     A caller that runs one circuit on many inputs passes ``compiled``, the
-    circuit's ``_compile(c)``, so that it is compiled only once.
+    circuit's ``_compile(c)``, so that it is compiled only once. TooWide is
+    raised once an h leaves more than 2^width_cap() nonzero amplitudes.
     """
     if state.n != c.width:
         raise WidthMismatch(
             f"state has {state.n} qubits but the circuit needs {c.width}"
         )
     n = state.n
+    cap = width_cap()
     k = max((v.k for v in state._amps.values()), default=0)
     amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
     for step in compiled if compiled is not None else _compile(c):
         amps = _apply_gate(amps, step, n)
         if step[0]:
+            # More than 2^cap amplitudes, without building 2^cap for a huge cap.
+            if (len(amps) - 1) >> cap > 0:
+                raise TooWide(f"state support exceeds 2^{cap} amplitudes, the width cap")
             k += 1
             while k and (halved := _halved(amps)) is not None:
                 amps, k = halved, k - 1
@@ -301,7 +313,7 @@ def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
     that no gate touches stays |0> and changes no column, so only the
     touched ancillas are simulated, renumbered densely after the main wires.
     """
-    if c.n_main > _cap():
+    if c.n_main > width_cap():
         raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
     touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
     if len(touched) < c.n_anc:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import re
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import GATES, Circuit, DomainError, Gate, is_ascii_decimal
 
 _TOKEN = re.compile(r"\S+")
 
 
-class SourceError(Exception):
+class SourceError(DomainError):
     """A positioned parse failure; never aborts the process."""
 
     def __init__(self, line: int, column: int, message: str) -> None:
@@ -31,8 +31,7 @@ class SourceError(Exception):
 
 
 def _parse_int(token: str, line: int, column: int) -> int:
-    # str.isdigit alone accepts digits such as '¹' that int() rejects.
-    if not (token.isascii() and token.isdigit()):
+    if not is_ascii_decimal(token):
         raise SourceError(line, column, f"malformed integer {token!r}")
     return int(token)
 

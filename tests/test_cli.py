@@ -13,9 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tdo
+from tdo.circuit import Circuit
 from tdo.cli import main
-from tdo.text import emit, parse
-from tdo.constructions import multi_controlled_x, toffoli_tdepth1
+from tdo.obstruction import obstruction_verdict
+from tdo.rewriter import NotAlmostClassical
+from tdo.sim import AncillaContractViolated, BadWidthCap, TooWide, WidthMismatch
+from tdo.text import SourceError, emit, parse
+from tdo.constructions import (
+    BadParams,
+    NotAControlledCircuit,
+    UnknownConstruction,
+    multi_controlled_x,
+    toffoli_tdepth1,
+)
 
 from conftest import FIXTURES
 from test_text import source_texts
@@ -407,19 +417,60 @@ def test_verify_non_integer_width_cap_exits_1(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cap", ["\u0661", " 1_0 "])
-@pytest.mark.parametrize("command", ["verify", "obstruct"])
+@pytest.mark.parametrize("command", ["parse", "metrics", "emit", "rewrite", "verify", "obstruct"])
 def test_width_cap_must_be_ascii_digits(tmp_path, monkeypatch, command, cap):
-    # int() reads '\u0661' (Arabic-Indic one) as 1 and ' 1_0 ' as 10.
-    two = tmp_path / "two.tdo"
-    two.write_text("qubits 2\nt 0\n")
+    # int() reads '\u0661' (Arabic-Indic one) as 1 and ' 1_0 ' as 10. The
+    # cap is checked before any file is read, so the absent file is not an
+    # exit-2 read error.
+    absent = str(tmp_path / "absent.tdo")
+    argv = {
+        "parse": ["parse", absent],
+        "metrics": ["metrics", absent],
+        "emit": ["emit", "toffoli-nc"],
+        "rewrite": ["rewrite", absent],
+        "verify": ["verify", absent, absent],
+        "obstruct": ["obstruct", "--builtin", "tht"],
+    }[command]
     monkeypatch.setenv("TDO_MAX_QUBITS", cap)
-    if command == "verify":
-        code, out, err = run(["verify", str(two), str(two)])
-    else:
-        code, out, err = run(["obstruct", "--builtin", "tht"])
+    code, out, err = run(argv)
     assert code == 1
     assert out == ""
     assert "TDO_MAX_QUBITS" in report_of(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("name", ["controlled-t", "add-control"])
+def test_emit_reports_width_cap_hit(monkeypatch, name):
+    # These builders check their inner circuit by simulating it.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "0")
+    code, out, err = run(["emit", name])
+    assert (code, out) == (1, "")
+    report = report_of(err)
+    assert (report["command"], report["status"]) == ("emit", "error")
+    assert "cap" in report["error"]["message"]
+
+
+def test_verify_bounds_touched_ancilla_support(tmp_path):
+    # Main width 1 is under the cap; 40 h gates on touched ancillas would
+    # need 2^40 amplitudes.
+    path = tmp_path / "wide-support.tdo"
+    path.write_text("qubits 1\nancillas 40\n" + "".join(f"h {q}\n" for q in range(1, 41)))
+    code, out, err = run_limited(["verify", str(path), str(path)])
+    assert (code, out) == (1, ""), err
+    assert "cap" in report_of(err)["error"]["message"]
+
+
+def test_domain_errors_share_one_base():
+    # The CLI reports each of these as exit 1 through one handler; the ones
+    # that were ValueErrors stay ValueErrors for Python callers.
+    plain = [SourceError, NotAlmostClassical, AncillaContractViolated, NotAControlledCircuit]
+    value_errors = [TooWide, WidthMismatch, UnknownConstruction, BadParams, BadWidthCap]
+    for cls in plain + value_errors:
+        assert issubclass(cls, tdo.DomainError), cls
+    for cls in value_errors:
+        assert issubclass(cls, ValueError), cls
+    with pytest.raises(tdo.DomainError) as raised:
+        obstruction_verdict(Circuit(2))
+    assert isinstance(raised.value, ValueError)
 
 
 def test_obstruct_builtin_tht():

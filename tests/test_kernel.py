@@ -202,3 +202,16 @@ def test_induced_unitary_width_cap(monkeypatch):
         induced_unitary(Circuit(3))
     # The cap counts main qubits only; ancillas are simulated, not stored.
     assert induced_unitary(Circuit(2, 2)) == ref.identity(4)
+
+
+def test_apply_circuit_bounds_support(monkeypatch):
+    # A full cap-wide state passes; an h that leaves more amplitudes does not.
+    def all_h(n):
+        return Circuit(n, 0, tuple(Gate("h", (q,)) for q in range(n)))
+
+    monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
+    assert len(apply_circuit(ExactState.basis(12, 0), all_h(12)).support()) == 4096
+    with pytest.raises(TooWide):
+        apply_circuit(ExactState.basis(13, 0), all_h(13))
+    monkeypatch.setenv("TDO_MAX_QUBITS", "13")
+    assert len(apply_circuit(ExactState.basis(13, 0), all_h(13)).support()) == 8192

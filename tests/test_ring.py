@@ -122,13 +122,6 @@ def test_conjugation_is_an_involution_and_fixes_norms(x):
     assert ref.real_sign(norm.to_real()) >= 0
 
 
-@given(scalars)
-def test_approx_matches_structure(x):
-    approx = x.approx()
-    again = (x + x).approx()
-    assert again == pytest.approx(2 * approx, abs=1e-9)
-
-
 def test_to_real_examples():
     assert INV_SQRT2.to_real() == RealValue(0, Fraction(1, 2))
     assert RingScalar(1, 0, 0, 0, 2).to_real() == RealValue(Fraction(1, 2), 0)
