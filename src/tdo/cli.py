@@ -5,7 +5,8 @@ also writes exactly one JSON report line to stderr with the shape
 {"command", "status", "payload" | "error"}; "command" is null when the
 command line is refused before its subcommand is known. Exit status:
 0 success, 1 domain error (any `DomainError`, reported as its message and
-its own fields, or a command line argparse refuses), 2 I/O error. Output
+its own fields, a command line argparse refuses, or running out of
+memory), 2 I/O error. Output
 is byte-identical for identical inputs.
 """
 
@@ -219,6 +220,9 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         payload, text = _COMMANDS[args.command](args)
     except DomainError as exc:
         _report(args.command, "error", {"message": str(exc), **vars(exc)}, stderr)
+        return 1
+    except MemoryError:
+        _report(args.command, "error", {"message": "out of memory"}, stderr)
         return 1
     except _CliFailure as failure:
         _report(args.command, "error", failure.error, stderr)

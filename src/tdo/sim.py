@@ -19,18 +19,26 @@ the run ends, and their constructor normalises each amplitude, so results
 are canonical whatever k the run held. Nothing rounds.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
-per basis input (`induced_columns`). When the compiled circuit has no h,
-each column is one (index, omega exponent) pair of ints; otherwise each
-column runs through `apply_circuit`. Equivalence checking compares the
-columns directly; only `induced_unitary` densifies them into an
+per basis input (`induced_columns`). A circuit with an h runs each column
+through `apply_circuit`. An h-free circuit is run once for all inputs,
+bit-sliced: each wire is one 2^n_main-bit integer whose bit x is the
+wire's value on main-register input x, and the omega exponent mod 8 is
+three such bit-planes. A move ANDs its control wires into a mask, adds
+e times the mask into the planes with a 3-bit ripple add, then XORs the
+mask into its flip wires, so a gate costs a few big-integer operations
+whatever n_main is. The slices take (main + touched ancilla wires) x
+2^n_main bits. The ancilla contract stays exhaustive: the OR of the
+ancilla wires is zero exactly when every input restores them, and its
+lowest set bit is the first input that does not. Equivalence checking of
+two h-free circuits compares the slices themselves; otherwise it compares
+the columns directly. Only `induced_unitary` densifies columns into an
 `ExactMatrix`.
 
-One width cap bounds the 2^n simulations: 12 qubits for state simulation
-and for the main register of an induced operator, whose columns are
-simulated one per main-register basis input. The same cap bounds the
-support: a state that an h leaves with more than 2^cap nonzero amplitudes
-raises TooWide, so ancillas that gates touch cannot grow a column past
-what a full cap-wide state holds. The TDO_MAX_QUBITS environment variable,
+One width cap bounds the 2^n simulations, bit-sliced or not: 12 qubits
+for state simulation and for the main register of an induced operator.
+The same cap bounds the support: a state that an h leaves with more than
+2^cap nonzero amplitudes raises TooWide, so ancillas that gates touch
+cannot grow a column past what a full cap-wide state holds. The TDO_MAX_QUBITS environment variable,
 a string of ASCII digits, overrides it; `width_cap()` reads it on each use.
 """
 
@@ -304,17 +312,99 @@ class ExactMatrix:
         return f"ExactMatrix(dim={self.dim})"
 
 
+def _h_free(c: Circuit) -> bool:
+    return all(GATES[gate.kind].action is not None for gate in c.gates)
+
+
+def _main_inputs(c: Circuit) -> int:
+    """2^n_main, the count of main-register basis inputs; TooWide past the cap."""
+    if c.n_main > width_cap():
+        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
+    return 1 << c.n_main
+
+
+def _start_pattern(h: int, lanes: int) -> int:
+    """The lanes whose input x has bit h set: runs of 2^h zeros, then ones.
+
+    Built by doubling, with shifts and ORs only.
+    """
+    run = 1 << h
+    pattern = ((1 << run) - 1) << run
+    width = 2 * run
+    while width < lanes:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
+
+
+def _ripple_add(xs: Sequence[int], ys: Sequence[int], carry: int = 0) -> tuple[int, ...]:
+    """Lane-wise xs + ys + carry over bit-planes, least significant first.
+
+    The carry out of the last plane is dropped, so three planes add mod 8.
+    """
+    out = []
+    for x, y in zip(xs, ys):
+        out.append(x ^ y ^ carry)
+        carry = (x & y) | (carry & (x ^ y))
+    return tuple(out)
+
+
+def _sliced(c: Circuit) -> tuple[list[int], tuple[int, ...]]:
+    """An h-free circuit run on every main-register input at once.
+
+    Lane x of each big integer belongs to basis input x. Returns the main
+    wires' output values and the three bit-planes of the omega exponent
+    (least significant first). Ancillas start at 0; one that no gate
+    touches never gets an integer. Raises AncillaContractViolated for the
+    lowest lane that leaves an ancilla set, and TooWide past the cap.
+    """
+    n = c.n_main
+    lanes = _main_inputs(c)
+    full = (1 << lanes) - 1
+    wires = {q: _start_pattern(n - 1 - q, lanes) for q in range(n)}
+    planes: tuple[int, ...] = (0, 0, 0)
+    for gate in c.gates:
+        qubits = gate.qubits
+        for controls, flips, e in GATES[gate.kind].action:
+            mask = full
+            for p in controls:
+                mask &= wires.get(qubits[p], 0)
+            if not mask:
+                continue
+            if e:
+                planes = _ripple_add(planes, [mask if e >> i & 1 else 0 for i in range(3)])
+            for p in flips:
+                q = qubits[p]
+                wires[q] = wires.get(q, 0) ^ mask
+    leaked = 0
+    for q, value in wires.items():
+        if q >= n:
+            leaked |= value
+    if leaked:
+        raise AncillaContractViolated((leaked & -leaked).bit_length() - 1)
+    return [wires[q] for q in range(n)], planes
+
+
 def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
     """One sparse column {output index: amplitude} per main-register input.
 
     Ancillas start in |0>. Every input is simulated; AncillaContractViolated
     reports the first whose output touches a nonzero ancilla pattern. The
-    main register is capped like state simulation (TooWide). An ancilla
-    that no gate touches stays |0> and changes no column, so only the
-    touched ancillas are simulated, renumbered densely after the main wires.
+    main register is capped like state simulation (TooWide). An h-free
+    circuit is read off its bit-sliced run; otherwise only the ancillas
+    that gates touch are simulated, renumbered densely after the main wires.
     """
-    if c.n_main > width_cap():
-        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
+    if _h_free(c):
+        mains, planes = _sliced(c)
+        lanes = 1 << c.n_main
+        # Each lane's output index, then its exponent, as one integer read
+        # off the wires bit by bit: qubit 0 first, so it ends as the MSB.
+        codes = [0] * lanes
+        for value in (*mains, *reversed(planes)):
+            bits = reversed(format(value, f"0{lanes}b"))
+            codes = [2 * code + (bit == "1") for code, bit in zip(codes, bits)]
+        return [{code >> 3: _OMEGA_POWERS[code & 7]} for code in codes]
+    dim = _main_inputs(c)
     touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
     if len(touched) < c.n_anc:
         wire = {q: c.n_main + i for i, q in enumerate(touched)}
@@ -324,28 +414,15 @@ def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
     n, n_anc = c.width, c.n_anc
     steps = _compile(c)
     anc_mask = (1 << n_anc) - 1
-    dim = 1 << c.n_main
     columns: list[dict[int, RingScalar]] = []
-    if not any(bit for bit, _ in steps):
-        moves = [move for _, gate_moves in steps for move in gate_moves]
-        for x in range(dim):
-            index, e = x << n_anc, 0
-            for cmask, fmask, j in moves:
-                if index & cmask == cmask:
-                    index ^= fmask
-                    e += j
+    for x in range(dim):
+        state = apply_circuit(ExactState.basis(n, x << n_anc), c, compiled=steps)
+        column: dict[int, RingScalar] = {}
+        for index, v in state._amps.items():
             if index & anc_mask:
                 raise AncillaContractViolated(x)
-            columns.append({index >> n_anc: _OMEGA_POWERS[e & 7]})
-    else:
-        for x in range(dim):
-            state = apply_circuit(ExactState.basis(n, x << n_anc), c, compiled=steps)
-            column: dict[int, RingScalar] = {}
-            for index, v in state._amps.items():
-                if index & anc_mask:
-                    raise AncillaContractViolated(x)
-                column[index >> n_anc] = v
-            columns.append(column)
+            column[index >> n_anc] = v
+        columns.append(column)
     return columns
 
 
@@ -362,12 +439,26 @@ def _times_omega(v: RingScalar, e: int) -> RingScalar:
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     """The j with induced(c1) = omega^j * induced(c2), or None.
 
-    Both circuits' columns are extracted in full, c1's first, so a contract
-    violation is reported whether or not the operators differ. j is read
-    off one entry of column 0; then each column pair is compared once.
+    Both circuits are simulated in full, c1 first, so a contract violation
+    is reported whether or not the operators differ. Two h-free circuits
+    are compared bit-sliced: equal main wires, and an exponent difference
+    that is the same j on every lane, so each difference plane is all
+    zeros or all ones. Otherwise j is read off one entry of column 0, and
+    then each column pair is compared once.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")
+    if _h_free(c1) and _h_free(c2):
+        mains1, planes1 = _sliced(c1)
+        mains2, planes2 = _sliced(c2)
+        if mains1 != mains2:
+            return None
+        full = (1 << (1 << c1.n_main)) - 1
+        # planes1 - planes2 as planes1 + ~planes2 + 1.
+        difference = _ripple_add(planes1, [full ^ plane for plane in planes2], full)
+        if any(plane not in (0, full) for plane in difference):
+            return None
+        return sum(1 << i for i, plane in enumerate(difference) if plane)
     cols1 = induced_columns(c1)
     cols2 = induced_columns(c2)
     # A unitary's column is never empty.

@@ -459,6 +459,19 @@ def test_verify_bounds_touched_ancilla_support(tmp_path):
     assert "cap" in report_of(err)["error"]["message"]
 
 
+def test_verify_out_of_memory_is_one_line(tmp_path, monkeypatch):
+    # Under a cap of 33 the bit-sliced run of 2^33 lanes cannot allocate.
+    path = tmp_path / "wide.tdo"
+    path.write_text("qubits 33\ncx 0 1\n")
+    monkeypatch.setenv("TDO_MAX_QUBITS", "33")
+    code, out, err = run_limited(["verify", str(path), str(path)])
+    assert (code, out) == (1, ""), err
+    assert len(err.splitlines()) == 1
+    report = report_of(err)
+    assert (report["command"], report["status"]) == ("verify", "error")
+    assert report["error"] == {"message": "out of memory"}
+
+
 def test_domain_errors_share_one_base():
     # The CLI reports each of these as exit 1 through one handler; the ones
     # that were ValueErrors stay ValueErrors for Python callers.

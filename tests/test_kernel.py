@@ -16,7 +16,7 @@ from tdo.sim import (
 )
 
 import reference_sim as ref
-from conftest import gate_unitary
+from conftest import gate, gate_unitary
 
 ALL_KINDS = sorted(GATES)
 MONOMIAL_KINDS = [kind for kind in ALL_KINDS if GATES[kind].action is not None]
@@ -69,17 +69,21 @@ def ancilla_circuits(draw, kinds, n_mains=st.integers(1, 3), leak_odds=10):
     return Circuit(n_main, n_anc, tuple(gates))
 
 
+def _omega_j(wire, j):
+    """omega^j times the identity: x P x P on one wire, P = s^(j//2) t^(j%2)."""
+    half = [Gate("s", (wire,))] * (j // 2) + [Gate("t", (wire,))] * (j % 2)
+    return [Gate("x", (wire,))] + half + [Gate("x", (wire,))] + half
+
+
 def _sandwich(draw, width):
-    """omega^j times the identity: x P x P on one wire, P = s^(j//2) t^(j%2).
+    """A drawn `_omega_j` on one wire.
 
     An optional leading h h pair is the identity too, but it can reorder
     the entries of a sparse column.
     """
     wire = draw(st.integers(0, width - 1))
-    j = draw(st.integers(0, 7))
-    half = [Gate("s", (wire,))] * (j // 2) + [Gate("t", (wire,))] * (j % 2)
     pad = [Gate("h", (wire,))] * 2 if draw(st.booleans()) else []
-    return pad + [Gate("x", (wire,))] + half + [Gate("x", (wire,))] + half
+    return pad + _omega_j(wire, draw(st.integers(0, 7)))
 
 
 def _leak(draw, n_main, n_anc):
@@ -91,7 +95,7 @@ def _leak(draw, n_main, n_anc):
 
 
 @st.composite
-def verify_pairs(draw):
+def verify_pairs(draw, kind_sets=(ALL_KINDS + ["h"] * 4, MONOMIAL_KINDS), n_mains=st.integers(0, 4)):
     """Circuit pairs as `verify` meets them.
 
     c2 is c1 itself, c1 with one t and tdg swapped, c1 after a controlled
@@ -99,8 +103,8 @@ def verify_pairs(draw):
     unrelated circuit on as many main wires. It may then be followed by an
     omega^j sandwich. Ancilla leaks are added to c1, c2 or both.
     """
-    kinds = draw(st.sampled_from([ALL_KINDS + ["h"] * 4, MONOMIAL_KINDS]))
-    c1 = draw(ancilla_circuits(kinds, n_mains=st.integers(0, 4), leak_odds=40))
+    kinds = draw(st.sampled_from(kind_sets))
+    c1 = draw(ancilla_circuits(kinds, n_mains=n_mains, leak_odds=40))
     n_main = c1.n_main
     derive = draw(st.sampled_from(["same", "mutant", "controlled", "unrelated"]))
     if derive == "unrelated":
@@ -159,6 +163,43 @@ def test_induced_unitary_without_h_matches_reference(c):
 # Equal, with column 0 holding no entry in row 0.
 @example((Circuit(1, 0, (Gate("x", (0,)),)), Circuit(1, 0, (Gate("x", (0,)),))))
 def test_equivalence_phase_matches_reference(pair):
+    assert _outcome(equivalence_phase, *pair) == _outcome(ref.equivalence_phase, *pair)
+
+
+# A phase kicked back through an ancilla, beside a controlled phase.
+_KICKBACK = Circuit(2, 1, (gate("cx", 0, 2), gate("t", 2), gate("cx", 0, 2), gate("cs", 0, 1)))
+# z = h x h: the same operator with and without h.
+_Z_WITHOUT_H = Circuit(1, 0, (gate("z", 0),))
+_Z_WITH_H = Circuit(1, 0, (gate("h", 0), gate("x", 0), gate("h", 0)))
+
+
+def _sliced_examples(test):
+    """Pairs for the bit-sliced comparison of h-free circuits."""
+    pairs = [
+        # No main wires: one lane, here omega times the identity.
+        (Circuit(0, 1, (gate("x", 0), gate("t", 0), gate("x", 0))), Circuit(0)),
+        # One circuit without h and one with, in both orders.
+        (_Z_WITHOUT_H, _Z_WITH_H),
+        (_Z_WITH_H, _Z_WITHOUT_H),
+        # Both leak; c1's first violating input (2) is reported, not c2's (1).
+        (Circuit(2, 1, (gate("cx", 0, 2),)), Circuit(2, 1, (gate("cx", 1, 2),))),
+        # Only input 7 sets ancilla 4.
+        (Circuit(3, 2, (gate("ccx", 0, 1, 3), gate("ccx", 2, 3, 4), gate("ccx", 0, 1, 3))), Circuit(3)),
+    ]
+    # Equal up to omega^j for each j.
+    pairs += [
+        (_KICKBACK, Circuit(2, 1, _KICKBACK.gates + tuple(_omega_j(1, j))))
+        for j in range(1, 8)
+    ]
+    for pair in pairs:
+        test = example(pair)(test)
+    return test
+
+
+@settings(max_examples=300)
+@given(verify_pairs(kind_sets=(MONOMIAL_KINDS,), n_mains=st.integers(0, 7)))
+@_sliced_examples
+def test_equivalence_phase_without_h_matches_reference(pair):
     assert _outcome(equivalence_phase, *pair) == _outcome(ref.equivalence_phase, *pair)
 
 

@@ -1,5 +1,7 @@
 """Exact simulator: gate matrices, state evolution, contracts, oracles."""
 
+import random
+
 import pytest
 
 from tdo.circuit import GATES, Circuit
@@ -13,10 +15,12 @@ from tdo.sim import (
     equivalence_phase,
     induced_unitary,
 )
+from tdo import sim
 from tdo.constructions import ccz_tdepth1, multi_controlled_x, toffoli_nc
+from tdo.rewriter import rewrite_budgeted
 
 import reference_sim as ref
-from conftest import gate, gate_unitary
+from conftest import MONOMIAL_POOL, gate, gate_unitary, random_gate
 
 
 def test_gate_matrix_t_and_s():
@@ -122,6 +126,33 @@ def test_equivalence_phase_builds_no_dense_matrix(monkeypatch):
     assert equivalence_phase(anc, phased) == 5
     mutant = Circuit(bare.n_main, bare.n_anc, bare.gates + (gate("cz", 0, 5),))
     assert equivalence_phase(anc, mutant) is None
+
+
+def test_equivalence_phase_of_h_free_circuits_is_bit_sliced(monkeypatch):
+    rng = random.Random(10)
+    c = Circuit(10, 0, tuple(random_gate(rng, 10, MONOMIAL_POOL) for _ in range(60)))
+    rewritten = rewrite_budgeted(c, 1)
+    assert rewritten.n_anc > 0
+    # x t s x t s is omega^3 times the identity.
+    sandwich = tuple(gate(kind, 4) for kind in ("x", "t", "s", "x", "t", "s"))
+    phased = Circuit(10, 0, c.gates + sandwich)
+    spare = rewritten.width
+    leaking = Circuit(10, rewritten.n_anc + 1, (gate("cx", 0, spare),) + rewritten.gates)
+    mutant = Circuit(10, 0, c.gates + (gate("cz", 0, 9),))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an h-free pair was simulated one input at a time")
+
+    monkeypatch.setattr(sim, "apply_circuit", refuse)
+    monkeypatch.setattr(sim, "ExactState", refuse)
+    assert equivalence_phase(rewritten, c) == 0
+    assert equivalence_phase(rewritten, phased) == 5
+    assert equivalence_phase(phased, rewritten) == 3
+    assert equivalence_phase(rewritten, mutant) is None
+    # Wire 0 is the MSB: input 512 is the first to set it.
+    with pytest.raises(AncillaContractViolated) as excinfo:
+        equivalence_phase(leaking, c)
+    assert excinfo.value.basis_input == 512
 
 
 def test_is_almost_classical_on_gates():
