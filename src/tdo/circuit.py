@@ -22,11 +22,19 @@ Metrics, all pure functions of the gate list:
 Multiply-controlled kinds (ccx, ccz) and cs/csdg are legal wherever a gate
 is legal but contribute nothing to T-count or T-depth; they count toward
 depth and gate count like any other gate.
+
+Large circuits repeat a few distinct gates many times. The parser gives
+equal gate lines one shared `Gate` object, and the rewriter passes shared
+objects on, so work that depends only on the gate is done once per
+distinct object (see `distinct_gates`): `Circuit` checks each distinct
+object once, `invert_gates` inverts each once and shares the inverse, and
+the emitter formats each once.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -92,6 +100,8 @@ GATES: dict[str, GateKind] = {
     "ccz": GateKind(3, "ccz", False, False, (((0, 1, 2), (), 4),)),
 }
 
+T_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.is_t)
+
 
 @dataclass(frozen=True, slots=True)
 class Gate:
@@ -105,10 +115,20 @@ class Gate:
         return GATES[self.kind].is_t
 
     def inverse(self) -> Gate:
-        return Gate(GATES[self.kind].inverse, self.qubits)
+        """The inverse gate; a self-inverse kind returns this very object."""
+        kind = GATES[self.kind].inverse
+        return self if kind == self.kind else Gate(kind, self.qubits)
 
     def __str__(self) -> str:
         return " ".join((self.kind, *map(str, self.qubits)))
+
+
+def distinct_gates(gates: Sequence[Gate]) -> dict[int, Gate]:
+    """Each distinct gate object keyed by its id, in order of first occurrence.
+
+    The ids stay valid while `gates` holds the objects.
+    """
+    return dict(zip(map(id, gates), gates))
 
 
 @dataclass(frozen=True)
@@ -119,7 +139,9 @@ class Circuit:
     immutable values; every metric and transformation is a pure function.
     This constructor is the one place a gate is checked: its kind is in
     `GATES`, it has that kind's arity, and its wires are distinct and in
-    range. A bad gate raises ValueError.
+    range. A bad gate raises ValueError. Each distinct `Gate` object is
+    checked once, in order of first occurrence, so the gate reported is
+    still the first bad one in the list.
     """
 
     n_main: int
@@ -131,7 +153,7 @@ class Circuit:
         if self.n_main < 0 or self.n_anc < 0:
             raise ValueError("qubit counts must be non-negative")
         width = self.n_main + self.n_anc
-        for gate in self.gates:
+        for gate in distinct_gates(self.gates).values():
             spec = GATES.get(gate.kind)
             if spec is None:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
@@ -167,7 +189,7 @@ class Metrics:
 
 def t_count(c: Circuit) -> int:
     """Number of t/tdg gates; t and tdg count alike."""
-    return sum(1 for g in c.gates if g.is_t)
+    return sum(g.kind in T_KINDS for g in c.gates)
 
 
 def t_depth_as_written(c: Circuit) -> int:
@@ -200,13 +222,23 @@ def t_depth_scheduled(c: Circuit) -> int:
     result is the longest T-chain in the qubit-sharing partial order, an
     upper bound on the true minimal T-depth and independent of how gates
     on disjoint wires happen to be interleaved. Only wires that gates touch
-    get a counter, so the declared width costs nothing.
+    get a counter, so the declared width costs nothing. A one-qubit non-T
+    gate synchronises its wire with itself, so it is skipped.
     """
     level: defaultdict[int, int] = defaultdict(int)
     for gate in c.gates:
         qubits = gate.qubits
-        if GATES[gate.kind].is_t:
-            level[qubits[0]] += 1
+        if len(qubits) == 1:
+            if gate.kind in T_KINDS:
+                level[qubits[0]] += 1
+        elif len(qubits) == 2:
+            # The commonest case, synchronised without building a list.
+            a, b = qubits
+            la, lb = level[a], level[b]
+            if la < lb:
+                level[a] = lb
+            elif lb < la:
+                level[b] = la
         else:
             peak = max([level[q] for q in qubits])
             for q in qubits:
@@ -228,9 +260,13 @@ def depth(c: Circuit) -> int:
     return total
 
 
-def invert_gates(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
-    """Reversed gate list with each gate replaced by its inverse kind."""
-    return tuple(g.inverse() for g in reversed(gates))
+def invert_gates(gates: Sequence[Gate]) -> tuple[Gate, ...]:
+    """Reversed gate list with each gate replaced by its inverse kind.
+
+    Each distinct gate object is inverted once and its inverse shared.
+    """
+    inverses = {key: g.inverse() for key, g in distinct_gates(gates).items()}
+    return tuple(map(inverses.__getitem__, map(id, reversed(gates))))
 
 
 def dagger(c: Circuit) -> Circuit:

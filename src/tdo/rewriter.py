@@ -27,7 +27,9 @@ shared ancilla pool yields T-depth at most S with a pool of ceil(t/S).
 
 from __future__ import annotations
 
-from .circuit import GATES, Circuit, DomainError, Gate, invert_gates, t_count
+from collections.abc import Sequence
+
+from .circuit import GATES, T_KINDS, Circuit, DomainError, Gate, invert_gates, t_count
 
 
 class NotAlmostClassical(DomainError):
@@ -47,25 +49,25 @@ def validate_gateset(c: Circuit) -> list[int]:
 
 
 def _rewrite_segment(
-    gates: tuple[Gate, ...], pool: tuple[int, ...]
-) -> tuple[Gate, ...]:
-    """One segment to one T stage against the given ancilla wires."""
+    gates: Sequence[Gate], pool: tuple[int, ...], out: list[Gate]
+) -> None:
+    """Append one segment, rewritten to one T stage against the pool, to out."""
     prefix: list[Gate] = []
     stage: list[Gate] = []
     remainder: list[Gate] = []
-    used = 0
     for gate in gates:
-        if gate.is_t:
-            ancilla = pool[used]
-            used += 1
+        if gate.kind in T_KINDS:
+            ancilla = pool[len(stage)]
             prefix.append(Gate("cx", (gate.qubits[0], ancilla)))
             stage.append(Gate(gate.kind, (ancilla,)))
         else:
             prefix.append(gate)
             remainder.append(gate)
-    if not stage:
-        return tuple(remainder)
-    return tuple(prefix) + tuple(stage) + invert_gates(tuple(prefix)) + tuple(remainder)
+    if stage:
+        out += prefix
+        out += stage
+        out += invert_gates(prefix)
+    out += remainder
 
 
 def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
@@ -75,7 +77,8 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     ceil(t_count/stages) T gates; each segment is rewritten to a single T
     stage and restores the shared pool to |0>, so segments chain to at most
     `stages` stages total. Input ancillas are treated as ordinary wires;
-    the pool is appended after them.
+    the pool is appended after them. A circuit without T gates is returned
+    as it is.
     """
     if stages < 1:
         raise ValueError("stage budget must be at least 1")
@@ -86,22 +89,22 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
 
     total_t = t_count(c)
     if total_t == 0:
-        return Circuit(c.n_main, c.n_anc, c.gates)
+        return c
     quota = -(-total_t // stages)
     pool = tuple(range(c.width, c.width + quota))
 
+    gates = c.gates
     out: list[Gate] = []
-    segment: list[Gate] = []
+    start = 0
     seen_t = 0
-    for gate in c.gates:
-        if gate.is_t and seen_t == quota:
-            out.extend(_rewrite_segment(tuple(segment), pool))
-            segment = []
-            seen_t = 0
-        segment.append(gate)
-        if gate.is_t:
+    for i, gate in enumerate(gates):
+        if gate.kind in T_KINDS:
+            if seen_t == quota:
+                _rewrite_segment(gates[start:i], pool, out)
+                start = i
+                seen_t = 0
             seen_t += 1
-    out.extend(_rewrite_segment(tuple(segment), pool))
+    _rewrite_segment(gates[start:], pool, out)
     return Circuit(c.n_main, c.n_anc + quota, tuple(out))
 
 

@@ -9,13 +9,17 @@ One construct per line; '#' starts a comment, blank lines are ignored:
 Integers are plain ASCII decimals. Emission is canonical (lowercase mnemonics,
 single spaces, no comments, ancilla header omitted when zero), so
 parse(emit(c)) == c and emit(parse(text)) normalises text.
+
+Equal gate lines share one `Gate`: parse checks the first occurrence of a
+line with positions and gives its later occurrences the same object, and
+emit formats each distinct gate object once (see `tdo.circuit`).
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import GATES, Circuit, DomainError, Gate, is_ascii_decimal
+from .circuit import GATES, Circuit, DomainError, Gate, distinct_gates, is_ascii_decimal
 
 _TOKEN = re.compile(r"\S+")
 
@@ -42,8 +46,15 @@ def parse(text: str) -> Circuit:
     n_anc = 0
     gates: list[Gate] = []
     ancillas_allowed = True
+    # Raw gate line -> its Gate. Only lines that produced a gate are kept,
+    # and a gate line fixes the width, so a hit parses exactly as before.
+    parsed: dict[str, Gate] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        gate = parsed.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         body = raw.split("#", 1)[0]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
         if not tokens:
@@ -97,7 +108,8 @@ def parse(text: str) -> Circuit:
             if q in qubits:
                 raise SourceError(lineno, tcol, f"repeated qubit index {q}")
             qubits.append(q)
-        gates.append(Gate(word, tuple(qubits)))
+        gate = parsed[raw] = Gate(word, tuple(qubits))
+        gates.append(gate)
 
     if n_main is None:
         raise SourceError(1, 1, "missing 'qubits N' header")
@@ -109,5 +121,6 @@ def emit(c: Circuit) -> str:
     lines = [f"qubits {c.n_main}"]
     if c.n_anc:
         lines.append(f"ancillas {c.n_anc}")
-    lines.extend(str(g) for g in c.gates)
+    texts = {key: str(g) for key, g in distinct_gates(c.gates).items()}
+    lines.extend(map(texts.__getitem__, map(id, c.gates)))
     return "\n".join(lines) + "\n"

@@ -10,11 +10,13 @@ shared, so results compare with `==`.
 
 The rest is dense matrix algebra over those containers (products,
 adjoints, unitarity and shape checks), phase diagonals, the single-qubit
-Clifford group, state norms and the exact sign of a RealValue.
+Clifford group, state norms, the exact sign of a RealValue, and the plain
+per-wire loop of the scheduled T-depth metric.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -262,3 +264,21 @@ def real_sign(v: RealValue) -> int:
     if q == 0 or (p != 0 and (p > 0) != (q > 0) and p * p > 2 * q * q):
         return (p > 0) - (p < 0)
     return 1 if q > 0 else -1
+
+
+def t_depth_scheduled(c: Circuit) -> int:
+    """Scheduled T-depth with no shortcut: every gate visits every wire.
+
+    A t/tdg bumps its wire's level; any other gate sets the levels of all
+    its wires to their maximum, one-qubit gates included.
+    """
+    level: defaultdict[int, int] = defaultdict(int)
+    for gate in c.gates:
+        qubits = gate.qubits
+        if gate.kind in ("t", "tdg"):
+            level[qubits[0]] += 1
+        else:
+            peak = max([level[q] for q in qubits])
+            for q in qubits:
+                level[q] = peak
+    return max(level.values(), default=0)

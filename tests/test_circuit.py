@@ -1,7 +1,7 @@
 """Circuit model and scheduling metrics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdo.circuit import (
     GATES,
@@ -9,6 +9,7 @@ from tdo.circuit import (
     Gate,
     dagger,
     depth,
+    invert_gates,
     metrics,
     t_count,
     t_depth_as_written,
@@ -16,6 +17,7 @@ from tdo.circuit import (
 )
 from tdo.constructions import cc_minus_iz, toffoli_ammr, toffoli_nc, toffoli_nc4
 
+import reference_sim as ref
 from conftest import gate
 
 
@@ -24,6 +26,18 @@ def test_gate_validation():
     for bad in (Gate("nope", (0,)), Gate("cx", (0,)), Gate("cx", (1, 1)), Gate("t", (-1,))):
         with pytest.raises(ValueError):
             Circuit(2, 0, (bad,))
+
+
+def test_repeated_bad_gate_object_reports_first_offender():
+    # Each distinct object is checked once, in order of first occurrence.
+    good, bad, far = gate("cx", 0, 1), gate("cx", 1, 1), gate("t", 5)
+    for gates, message in [
+        ((good, bad, far, bad, good), "gate 'cx' repeats a qubit: (1, 1)"),
+        ((good, far, bad, bad, far), "gate 't 5' uses qubit 5, but the circuit has width 2"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            Circuit(2, 0, gates)
+        assert str(excinfo.value) == message
 
 
 def test_circuit_validation():
@@ -82,6 +96,15 @@ def test_dagger_examples():
     assert dagger(Circuit(1, 0, (gate("t", 0),))).gates == (gate("tdg", 0),)
     c = Circuit(2, 0, (gate("h", 0), gate("cx", 0, 1)))
     assert dagger(c).gates == (gate("cx", 0, 1), gate("h", 0))
+
+
+def test_invert_gates_of_repeated_objects():
+    t, cx, s = gate("t", 0), gate("cx", 0, 1), gate("s", 1)
+    gates = [t, cx, s, t, cx, t]
+    inverses = invert_gates(gates)
+    assert inverses == tuple(g.inverse() for g in reversed(gates))
+    assert inverses[0] is inverses[2] is inverses[5]
+    assert inverses[1] is cx and inverses[4] is cx
 
 
 def test_metrics_record():
@@ -146,3 +169,30 @@ def test_depth_subadditive_under_concatenation(c1, c2):
     n = max(c1.n_main, c2.n_main)
     joined = Circuit(n, 0, c1.gates + c2.gates)
     assert depth(joined) <= depth(c1) + depth(c2)
+
+
+# Heavy in one-qubit Cliffords, which the schedule skips, and in ccx/ccz.
+_SCHEDULE_KINDS = st.sampled_from(
+    ["x", "y", "z", "h", "s", "sdg"] * 3 + ["t", "tdg", "ccx", "ccz"] * 2
+    + ["cx", "cz", "cs", "swap"]
+)
+
+
+@st.composite
+def schedule_circuits(draw):
+    """Circuits on the lowest and highest three wires of their width."""
+    width = draw(st.sampled_from([3, 6, 3_000_000_000]))
+    wires = range(width)
+    ends = sorted({*wires[:3], *wires[-3:]})
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(_SCHEDULE_KINDS)
+        qubits = draw(st.permutations(ends))[: GATES[kind].arity]
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit(width, 0, tuple(gates))
+
+
+@settings(max_examples=300)
+@given(schedule_circuits())
+def test_t_depth_scheduled_matches_reference(c):
+    assert t_depth_scheduled(c) == ref.t_depth_scheduled(c)

@@ -43,8 +43,7 @@ def test_rewrite_toffoli_core():
 def test_rewrite_no_t_gates_returns_input():
     c = Circuit(2, 0, (gate("cx", 0, 1), gate("s", 0)))
     out = rewrite_tdepth1(c)
-    assert out.gates == c.gates
-    assert out.n_anc == 0
+    assert out is c
 
 
 def test_rewrite_rejects_hadamard():

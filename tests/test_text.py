@@ -32,6 +32,11 @@ source_texts = st.one_of(
     st.lists(_lines(), max_size=6).map(lambda lines: "\n".join(["qubits 4", *lines])),
 )
 
+# Texts that repeat a few lines many times, so that parse shares gates.
+repeating_texts = st.lists(_lines(), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=10)
+).map(lambda lines: "\n".join(["qubits 4", *lines]))
+
 
 def test_minimal_parse():
     c = parse("qubits 2\ncx 0 1\n")
@@ -57,6 +62,22 @@ def test_emit_canonical_form():
     assert emit(Circuit(2, 1)) == "qubits 2\nancillas 1\n"
     # ancilla header omitted when zero
     assert "ancillas" not in emit(Circuit(3))
+
+
+def test_repeated_gate_lines_share_one_gate():
+    c = parse("qubits 3\ncx 0 1\nt 2\ncx 0 1\nt 2\nt 2\n")
+    first_cx, first_t = c.gates[:2]
+    assert c.gates[2] is first_cx
+    assert c.gates[3] is first_t and c.gates[4] is first_t
+    assert parse(emit(c)) == c
+    assert emit(c) == "qubits 3\ncx 0 1\nt 2\ncx 0 1\nt 2\nt 2\n"
+
+
+def test_repeated_bad_line_fails_at_its_first_occurrence():
+    with pytest.raises(SourceError) as excinfo:
+        parse("qubits 2\ncx 0 1\ncx 1 1\ncx 0 1\ncx 1 1\n")
+    err = excinfo.value
+    assert (err.line, err.column, err.message) == (3, 6, "repeated qubit index 1")
 
 
 def test_emit_parse_normalises_text():
@@ -109,3 +130,19 @@ def test_parse_raises_only_source_error(text):
         assert exc.line >= 1 and exc.column >= 1
     else:
         assert parse(emit(c)) == c
+
+
+def _outcome(text):
+    try:
+        return parse(text)
+    except SourceError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+@settings(max_examples=300)
+@given(st.one_of(source_texts, repeating_texts))
+def test_shared_lines_parse_as_if_each_were_new(text):
+    # A distinct comment on every line leaves no two lines equal, so no
+    # gate is shared; the circuit or the error must be the same.
+    tagged = "\n".join(f"{line} #{i}" for i, line in enumerate(text.split("\n")))
+    assert _outcome(text) == _outcome(tagged)
