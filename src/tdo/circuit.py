@@ -23,17 +23,14 @@ Multiply-controlled kinds (ccx, ccz) and cs/csdg are legal wherever a gate
 is legal but contribute nothing to T-count or T-depth; they count toward
 depth and gate count like any other gate.
 
-Large circuits repeat a few distinct gates many times. The parser gives
-equal gate lines one shared `Gate` object, and the rewriter passes shared
-objects on, so work that depends only on the gate is done once per
-distinct object (see `distinct_gates`): `Circuit` checks each distinct
-object once, `invert_gates` inverts each once and shares the inverse, and
-the emitter formats each once.
+Large circuits repeat a few distinct gates many times. A `Gate` is an
+immutable value, and work that depends only on one is done once per value.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
+from collections import defaultdict, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,6 +52,18 @@ def is_ascii_decimal(token: str) -> bool:
     digits; str.isdigit alone accepts digits such as '¹' that int() rejects.
     """
     return token.isascii() and token.isdigit()
+
+
+def decimal_too_long(token: str) -> str | None:
+    """Why int() must not read a decimal token, or None.
+
+    Accepts one digit fewer than Python's int-string limit (none if 0, or
+    before 3.10.7), so the sum of two accepted integers still prints.
+    """
+    most = getattr(sys, "get_int_max_str_digits", int)() - 1
+    if 0 <= most < len(token):
+        return f"has {len(token)} digits, more than the {most} allowed"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,16 +112,10 @@ GATES: dict[str, GateKind] = {
 T_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.is_t)
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """A gate kind applied to a tuple of wires; `Circuit` checks it."""
+class Gate(namedtuple("Gate", "kind qubits")):
+    """An immutable (kind, qubits) value: a gate kind on a tuple of wires."""
 
-    kind: str
-    qubits: tuple[int, ...]
-
-    @property
-    def is_t(self) -> bool:
-        return GATES[self.kind].is_t
+    __slots__ = ()
 
     def inverse(self) -> Gate:
         """The inverse gate; a self-inverse kind returns this very object."""
@@ -123,14 +126,6 @@ class Gate:
         return " ".join((self.kind, *map(str, self.qubits)))
 
 
-def distinct_gates(gates: Sequence[Gate]) -> dict[int, Gate]:
-    """Each distinct gate object keyed by its id, in order of first occurrence.
-
-    The ids stay valid while `gates` holds the objects.
-    """
-    return dict(zip(map(id, gates), gates))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list over n_main working wires and n_anc ancillas.
@@ -139,9 +134,9 @@ class Circuit:
     immutable values; every metric and transformation is a pure function.
     This constructor is the one place a gate is checked: its kind is in
     `GATES`, it has that kind's arity, and its wires are distinct and in
-    range. A bad gate raises ValueError. Each distinct `Gate` object is
-    checked once, in order of first occurrence, so the gate reported is
-    still the first bad one in the list.
+    range; a bad gate raises ValueError (TypeError if its wires are in a
+    list). Each distinct gate is checked once, in order of first
+    occurrence, so the gate reported is the first bad one in the list.
     """
 
     n_main: int
@@ -153,7 +148,7 @@ class Circuit:
         if self.n_main < 0 or self.n_anc < 0:
             raise ValueError("qubit counts must be non-negative")
         width = self.n_main + self.n_anc
-        for gate in distinct_gates(self.gates).values():
+        for gate in dict.fromkeys(self.gates):
             spec = GATES.get(gate.kind)
             if spec is None:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
@@ -202,7 +197,7 @@ def t_depth_as_written(c: Circuit) -> int:
     stages = 0
     current: set[int] | None = None
     for gate in c.gates:
-        if gate.is_t:
+        if gate.kind in T_KINDS:
             q = gate.qubits[0]
             if current is None or q in current:
                 current = {q}
@@ -263,10 +258,10 @@ def depth(c: Circuit) -> int:
 def invert_gates(gates: Sequence[Gate]) -> tuple[Gate, ...]:
     """Reversed gate list with each gate replaced by its inverse kind.
 
-    Each distinct gate object is inverted once and its inverse shared.
+    Each distinct gate is inverted once and its inverse shared.
     """
-    inverses = {key: g.inverse() for key, g in distinct_gates(gates).items()}
-    return tuple(map(inverses.__getitem__, map(id, reversed(gates))))
+    inverses = {g: g.inverse() for g in dict.fromkeys(gates)}
+    return tuple(map(inverses.__getitem__, reversed(gates)))
 
 
 def dagger(c: Circuit) -> Circuit:

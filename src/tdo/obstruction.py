@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import GATES, T_KINDS, Circuit, Gate
 from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
 from .sim import ExactState, TooWide, WidthMismatch, apply_circuit, width_cap
 
@@ -94,7 +94,7 @@ def split_tdepth1(c: Circuit) -> SplitCircuit:
     post: list[Gate] = []
     phase = 0  # 0: pre, 1: inside T block, 2: post
     for position, gate in enumerate(c.gates):
-        if gate.is_t:
+        if gate.kind in T_KINDS:
             if phase == 2:
                 raise NotTDepthOneShape(position, "second T stage")
             phase = 1

@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping, Sequence
 
-from .circuit import GATES, Circuit, DomainError, Gate, is_ascii_decimal
+from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
@@ -62,7 +62,7 @@ class TooWide(DomainError, ValueError):
 
 
 class BadWidthCap(DomainError, ValueError):
-    """TDO_MAX_QUBITS is set to something other than ASCII digits."""
+    """TDO_MAX_QUBITS is set to something other than ASCII digits, or too many."""
 
 
 class AncillaContractViolated(DomainError):
@@ -82,6 +82,8 @@ def width_cap() -> int:
         return DEFAULT_CAP
     if not is_ascii_decimal(env):
         raise BadWidthCap(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
+    if too_long := decimal_too_long(env):
+        raise BadWidthCap(f"TDO_MAX_QUBITS {too_long}")
     return int(env)
 
 

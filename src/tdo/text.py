@@ -10,16 +10,15 @@ Integers are plain ASCII decimals. Emission is canonical (lowercase mnemonics,
 single spaces, no comments, ancilla header omitted when zero), so
 parse(emit(c)) == c and emit(parse(text)) normalises text.
 
-Equal gate lines share one `Gate`: parse checks the first occurrence of a
-line with positions and gives its later occurrences the same object, and
-emit formats each distinct gate object once (see `tdo.circuit`).
+Work that depends only on a gate is done once per distinct value: parse
+checks each distinct gate line once, and emit formats each gate value once.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import GATES, Circuit, DomainError, Gate, distinct_gates, is_ascii_decimal
+from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
 
 _TOKEN = re.compile(r"\S+")
 
@@ -37,6 +36,8 @@ class SourceError(DomainError):
 def _parse_int(token: str, line: int, column: int) -> int:
     if not is_ascii_decimal(token):
         raise SourceError(line, column, f"malformed integer {token!r}")
+    if too_long := decimal_too_long(token):
+        raise SourceError(line, column, f"integer {too_long}")
     return int(token)
 
 
@@ -46,8 +47,8 @@ def parse(text: str) -> Circuit:
     n_anc = 0
     gates: list[Gate] = []
     ancillas_allowed = True
-    # Raw gate line -> its Gate. Only lines that produced a gate are kept,
-    # and a gate line fixes the width, so a hit parses exactly as before.
+    # Raw gate line -> its Gate, so a repeated line is not tokenised again.
+    # A gate line fixes the width, so a hit parses exactly as before.
     parsed: dict[str, Gate] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -121,6 +122,6 @@ def emit(c: Circuit) -> str:
     lines = [f"qubits {c.n_main}"]
     if c.n_anc:
         lines.append(f"ancillas {c.n_anc}")
-    texts = {key: str(g) for key, g in distinct_gates(c.gates).items()}
-    lines.extend(map(texts.__getitem__, map(id, c.gates)))
+    texts = {g: str(g) for g in dict.fromkeys(c.gates)}
+    lines.extend(map(texts.__getitem__, c.gates))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """Circuit model and scheduling metrics."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from tdo.circuit import (
     t_depth_scheduled,
 )
 from tdo.constructions import cc_minus_iz, toffoli_ammr, toffoli_nc, toffoli_nc4
+from tdo.text import emit
 
 import reference_sim as ref
 from conftest import gate
@@ -26,10 +29,13 @@ def test_gate_validation():
     for bad in (Gate("nope", (0,)), Gate("cx", (0,)), Gate("cx", (1, 1)), Gate("t", (-1,))):
         with pytest.raises(ValueError):
             Circuit(2, 0, (bad,))
+    # A gate is a hashed value, so wires in a list are refused.
+    with pytest.raises(TypeError):
+        Circuit(2, 0, (Gate("cx", [0, 1]),))
 
 
 def test_repeated_bad_gate_object_reports_first_offender():
-    # Each distinct object is checked once, in order of first occurrence.
+    # Each distinct value is checked once, in order of first occurrence.
     good, bad, far = gate("cx", 0, 1), gate("cx", 1, 1), gate("t", 5)
     for gates, message in [
         ((good, bad, far, bad, good), "gate 'cx' repeats a qubit: (1, 1)"),
@@ -105,6 +111,30 @@ def test_invert_gates_of_repeated_objects():
     assert inverses == tuple(g.inverse() for g in reversed(gates))
     assert inverses[0] is inverses[2] is inverses[5]
     assert inverses[1] is cx and inverses[4] is cx
+
+
+def test_equal_gates_are_worked_on_once(monkeypatch):
+    # Fresh but equal objects are one value: formatted once, inverted once.
+    calls = Counter()
+    to_text, invert = Gate.__str__, Gate.inverse
+
+    def counted_str(g):
+        calls["str", g] += 1
+        return to_text(g)
+
+    def counted_inverse(g):
+        calls["inverse", g] += 1
+        return invert(g)
+
+    monkeypatch.setattr(Gate, "__str__", counted_str)
+    monkeypatch.setattr(Gate, "inverse", counted_inverse)
+    gates = [Gate(kind, tuple(qubits)) for kind, qubits in
+             [("t", [0]), ("cx", [0, 1]), ("t", [0]), ("cx", [0, 1]), ("t", [0])]]
+    assert gates[0] is not gates[2] and gates[1] is not gates[3]
+    t, cx = gate("t", 0), gate("cx", 0, 1)
+    assert emit(Circuit(2, 0, gates)) == "qubits 2\nt 0\ncx 0 1\nt 0\ncx 0 1\nt 0\n"
+    assert invert_gates(gates) == (gate("tdg", 0), cx, gate("tdg", 0), cx, gate("tdg", 0))
+    assert calls == {("str", t): 1, ("str", cx): 1, ("inverse", t): 1, ("inverse", cx): 1}
 
 
 def test_metrics_record():

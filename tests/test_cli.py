@@ -438,6 +438,65 @@ def test_width_cap_must_be_ascii_digits(tmp_path, monkeypatch, command, cap):
     assert "TDO_MAX_QUBITS" in report_of(err)["error"]["message"]
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int-string limit of 4300 digits, restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("source, line, column, digits", [
+    ("qubits " + "9" * 5000 + "\n", 1, 8, 5000),
+    ("qubits 2\ncx 0 " + "1" * 4400 + "\n", 2, 6, 4400),
+    # Accepted, this width would give the new ancilla a 4301-digit index.
+    ("qubits " + "9" * 4300 + "\nancillas 1\nt 0\n", 1, 8, 4300),
+], ids=["width", "wire", "ancilla-index"])
+@pytest.mark.parametrize("command", ["parse", "metrics", "rewrite"])
+def test_overlong_integer_in_file_exits_1(tmp_path, int_digit_limit, command, source, line, column, digits):
+    path = tmp_path / "long.tdo"
+    path.write_text(source)
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (1, "")
+    error = report_of(err)["error"]
+    assert (error["line"], error["column"]) == (line, column)
+    assert error["message"] == f"integer has {digits} digits, more than the 4299 allowed"
+
+
+def test_longest_integer_still_prints_its_ancilla_index(tmp_path, int_digit_limit):
+    path = tmp_path / "long.tdo"
+    path.write_text("qubits " + "9" * 4299 + "\nancillas 1\nt 0\n")
+    code, out, err = run(["rewrite", str(path)])
+    assert code == 0
+    assert report_of(err)["payload"]["ancillas_added"] == 1
+    # The pool ancilla sits at the 4300-digit index 10^4299.
+    assert f"\nt {10 ** 4299}\n" in out
+
+
+def test_no_int_digit_limit_reads_any_length(tmp_path, int_digit_limit):
+    sys.set_int_max_str_digits(0)
+    path = tmp_path / "long.tdo"
+    path.write_text("qubits " + "9" * 5000 + "\n")
+    code, out, _ = run(["parse", str(path)])
+    assert (code, out) == (0, "qubits " + "9" * 5000 + "\n")
+
+
+def test_overlong_width_cap_exits_1(tmp_path, monkeypatch, int_digit_limit):
+    monkeypatch.setenv("TDO_MAX_QUBITS", "9" * 5000)
+    code, out, err = run(["parse", str(tmp_path / "absent.tdo")])
+    assert (code, out) == (1, "")
+    message = report_of(err)["error"]["message"]
+    assert message == "TDO_MAX_QUBITS has 5000 digits, more than the 4299 allowed"
+
+
+def test_overlong_stage_count_exits_1(int_digit_limit):
+    # argparse reports the ValueError of int() as a usage error.
+    code, out, err = run(["rewrite", str(FIXTURES / "toffoli-nc.tdo"), "--stages", "9" * 5000])
+    assert (code, out) == (1, "")
+    assert report_of(err)["error"]["message"].startswith("argument --stages: invalid")
+
+
 @pytest.mark.parametrize("name", ["controlled-t", "add-control"])
 def test_emit_reports_width_cap_hit(monkeypatch, name):
     # These builders check their inner circuit by simulating it.

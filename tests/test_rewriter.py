@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tdo.circuit import Circuit, t_count, t_depth_scheduled
+from tdo.circuit import T_KINDS, Circuit, t_count, t_depth_scheduled
 from tdo.constructions import toffoli_ammr, toffoli_nc
 from tdo.rewriter import (
     NotAlmostClassical,
@@ -90,7 +90,7 @@ def test_compute_stage_uncompute_prefix_is_diagonal():
     # The block before the T-free remainder implements a diagonal operator.
     c = Circuit(2, 0, (gate("x", 0), gate("t", 0), gate("cx", 0, 1), gate("tdg", 1)))
     out = rewrite_tdepth1(c)
-    prefix_len = len(out.gates) - sum(1 for g in c.gates if not g.is_t)
+    prefix_len = len(out.gates) - sum(1 for g in c.gates if g.kind not in T_KINDS)
     prefix = Circuit(out.width, 0, out.gates[:prefix_len])
     assert ref.is_diagonal(induced_unitary(prefix))
 
