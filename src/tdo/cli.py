@@ -4,10 +4,10 @@ Circuit text goes to stdout so commands compose in pipelines; every run
 also writes exactly one JSON report line to stderr with the shape
 {"command", "status", "payload" | "error"}; "command" is null when the
 command line is refused before its subcommand is known. Exit status:
-0 success, 1 domain error (any `DomainError`, reported as its message and
-its own fields, a command line argparse refuses, or running out of
-memory), 2 I/O error. Output
-is byte-identical for identical inputs.
+0 success; 1 for every refusal, each a `DomainError` reported as its
+message and its own fields (a command line argparse refuses among them),
+and for running out of memory; 2 only for a file that cannot be read.
+Output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .circuit import Circuit, DomainError, Gate, is_ascii_decimal, metrics, t_depth_scheduled
+from .circuit import Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal, metrics, t_depth_scheduled
 from .constructions import CONSTRUCTIONS, build
 from .obstruction import obstruction_verdict
 from .rewriter import rewrite_budgeted
@@ -30,54 +30,41 @@ _BUILTIN_CIRCUITS = {
 }
 
 
-class _UsageError(Exception):
-    """A command line the parser refuses, for the subcommand it reached."""
-
-    def __init__(self, command: str | None, message: str) -> None:
-        super().__init__(message)
-        self.command = command
+class _UsageError(DomainError):
+    """A command line the parser refuses."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises _UsageError where argparse would print usage and exit 2."""
 
-    subcommand: str | None = None
-
     def error(self, message: str):
-        raise _UsageError(self.subcommand, message)
+        raise _UsageError(message)
+
+
+class _NotUtf8(DomainError):
+    """A circuit file whose bytes are not UTF-8 text."""
+
+    def __init__(self, path: str, exc: UnicodeDecodeError) -> None:
+        super().__init__(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}")
+        self.file = path
 
 
 def _count(token: str) -> int:
     """A count spelled as in circuit files."""
     if not is_ascii_decimal(token):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {token!r}")
+    if too_long := decimal_too_long(token):
+        raise argparse.ArgumentTypeError(too_long)
     return int(token)
 
 
-class _CliFailure(Exception):
-    """A failure the CLI finds itself: an unreadable or non-UTF-8 file, --stages 0."""
-
-    def __init__(self, code: int, error: dict) -> None:
-        super().__init__(error.get("message", ""))
-        self.code = code
-        self.error = error
-
-
 def _read_circuit(path: str) -> Circuit:
+    """Parse a circuit file; an OSError from reading it is main's exit 2."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
-        raise _CliFailure(2, {"message": f"cannot read {path}: {exc.strerror}"})
     except UnicodeDecodeError as exc:
-        raise _CliFailure(
-            1,
-            {
-                "message": f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                f"at offset {exc.start}",
-                "file": path,
-            },
-        )
+        raise _NotUtf8(path, exc) from None
     try:
         return parse(source)
     except SourceError as exc:
@@ -112,7 +99,7 @@ def _cmd_emit(args: argparse.Namespace) -> tuple[dict, str | None]:
 def _cmd_rewrite(args: argparse.Namespace) -> tuple[dict, str | None]:
     c = _read_circuit(args.file)
     if args.stages < 1:
-        raise _CliFailure(1, {"message": "--stages must be at least 1"})
+        raise _UsageError("--stages must be at least 1")
     out = rewrite_budgeted(c, args.stages)
     payload = {
         "stages": args.stages,
@@ -150,16 +137,6 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str | None]:
     return payload, json.dumps(payload, sort_keys=True) + "\n"
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "metrics": _cmd_metrics,
-    "emit": _cmd_emit,
-    "rewrite": _cmd_rewrite,
-    "verify": _cmd_verify,
-    "obstruct": _cmd_obstruct,
-}
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="tdo",
@@ -169,33 +146,37 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a circuit file and echo it canonically")
+    p.set_defaults(run=_cmd_parse)
     p.add_argument("file")
 
     p = sub.add_parser("metrics", help="T-count, T-depths, depth, and sizes")
+    p.set_defaults(run=_cmd_metrics)
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="print the payload as JSON")
 
     p = sub.add_parser("emit", help="print a library construction")
+    p.set_defaults(run=_cmd_emit)
     p.add_argument("name", metavar="NAME", help=", ".join(CONSTRUCTIONS))
     p.add_argument("--controls", type=_count, default=None, help="control count for multi-controlled-x")
     p.add_argument("--no-ancilla", action="store_true", help="choose the ancilla-free variant")
     p.add_argument("--json", action="store_true", help="include metrics in the report")
 
     p = sub.add_parser("rewrite", help="compress all T stages using ancillas")
+    p.set_defaults(run=_cmd_rewrite)
     p.add_argument("file")
     p.add_argument("--stages", type=_count, default=1, help="T-stage budget (default 1)")
 
     p = sub.add_parser("verify", help="exact equivalence of two circuits")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--up-to-global-phase", action="store_true")
 
     p = sub.add_parser("obstruct", help="rationality certificate against one T stage")
+    p.set_defaults(run=_cmd_obstruct)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("file", nargs="?")
     group.add_argument("--builtin", choices=sorted(_BUILTIN_CIRCUITS))
-    for name, subparser in sub.choices.items():
-        subparser.subcommand = name
     return parser
 
 
@@ -208,25 +189,24 @@ def _report(command: str | None, status: str, body: dict, stream) -> None:
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
+    # argparse names the subcommand here before it parses that command's own
+    # arguments, so a refused subcommand line still reports its command.
+    args = argparse.Namespace(command=None)
     try:
-        args, extra = _parser().parse_known_args(argv)
+        _, extra = _parser().parse_known_args(argv, args)
         if extra:
-            raise _UsageError(args.command, f"unrecognized arguments: {' '.join(extra)}")
-    except _UsageError as exc:
-        _report(exc.command, "error", {"message": str(exc)}, stderr)
-        return 1
-    try:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
         width_cap()  # a bad TDO_MAX_QUBITS fails every command, before any file is read
-        payload, text = _COMMANDS[args.command](args)
+        payload, text = args.run(args)
     except DomainError as exc:
         _report(args.command, "error", {"message": str(exc), **vars(exc)}, stderr)
         return 1
     except MemoryError:
         _report(args.command, "error", {"message": "out of memory"}, stderr)
         return 1
-    except _CliFailure as failure:
-        _report(args.command, "error", failure.error, stderr)
-        return failure.code
+    except OSError as exc:
+        _report(args.command, "error", {"message": f"cannot read {exc.filename}: {exc.strerror}"}, stderr)
+        return 2
     if text is not None:
         stdout.write(text)
     _report(args.command, "ok", payload, stderr)

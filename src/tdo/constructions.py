@@ -124,9 +124,7 @@ def _cc_minus_iz_gates(x: int, y: int, z: int, anc: int | None) -> tuple[Gate, .
 
 def cc_minus_iz(use_ancilla: bool = True) -> Circuit:
     """Doubly-controlled -iZ on (controls 0,1; wire 2)."""
-    if use_ancilla:
-        return Circuit(3, 1, _cc_minus_iz_gates(0, 1, 2, 3))
-    return Circuit(3, 0, _cc_minus_iz_gates(0, 1, 2, None))
+    return Circuit(3, int(use_ancilla), _cc_minus_iz_gates(0, 1, 2, 3 if use_ancilla else None))
 
 
 def _cc_minus_ix_gates(x: int, y: int, target: int, anc: int | None) -> tuple[Gate, ...]:
@@ -136,9 +134,7 @@ def _cc_minus_ix_gates(x: int, y: int, target: int, anc: int | None) -> tuple[Ga
 
 def cc_minus_ix(use_ancilla: bool = True) -> Circuit:
     """Doubly-controlled -iX on (controls 0,1; target 2)."""
-    if use_ancilla:
-        return Circuit(3, 1, _cc_minus_ix_gates(0, 1, 2, 3))
-    return Circuit(3, 0, _cc_minus_ix_gates(0, 1, 2, None))
+    return Circuit(3, int(use_ancilla), _cc_minus_ix_gates(0, 1, 2, 3 if use_ancilla else None))
 
 
 def _check_controlled(g: Circuit) -> None:
@@ -191,8 +187,6 @@ def multi_controlled_x(k: int, use_ancilla: bool = True) -> Circuit:
         raise BadParams(f"control count must be at most {MAX_CONTROLS}")
     if k == 1:
         return Circuit(2, 0, (_g("cx", 0, 1),))
-    if k == 2:
-        return toffoli_tdepth1()
 
     target = k
     collectors = k - 2
@@ -212,7 +206,7 @@ def multi_controlled_x(k: int, use_ancilla: bool = True) -> Circuit:
         wires = merged
 
     pool_base = k + 1 + collectors
-    pool_size = max(max(len(folds) for folds in rounds), 4)
+    pool_size = max([4, *map(len, rounds)])
     n_anc = collectors + pool_size
 
     fold_gates: list[Gate] = []

@@ -194,11 +194,39 @@ def test_verify_ignores_untouched_ancillas(tmp_path, body, equivalent):
 ], ids=["missing-file2", "unknown-command", "no-command", "extra-argument",
         "stages-abc", "stages-underscore", "controls-fullwidth"])
 def test_usage_error_reports_one_json_line(argv, command):
-    # argparse would print usage text and exit 2, the I/O error code.
+    # argparse would print usage text and exit 2, the unreadable-file code.
     code, out, err = run(argv)
     assert (code, out) == (1, "")
     report = report_of(err)
     assert (report["command"], report["status"]) == (command, "error")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["rewrite", str(FIXTURES / "toffoli-nc.tdo"), "--stages", "0"], 1,
+     '{"command": "rewrite", "error": {"message": "--stages must be at least 1"}, "status": "error"}'),
+    (["parse", "adir"], 2,
+     '{"command": "parse", "error": {"message": "cannot read adir: Is a directory"}, "status": "error"}'),
+    (["parse", "absent.tdo"], 2,
+     '{"command": "parse", "error": {"message": "cannot read absent.tdo: No such file or directory"}, '
+     '"status": "error"}'),
+    (["metrics", "bad.tdo"], 1,
+     '{"command": "metrics", "error": {"file": "bad.tdo", "message": "not UTF-8 text: byte 0xff at offset 9"}, '
+     '"status": "error"}'),
+    (["verify", "a.tdo"], 1,
+     '{"command": "verify", "error": {"message": "the following arguments are required: file2"}, '
+     '"status": "error"}'),
+    (["parse", "a.tdo", "b.tdo"], 1,
+     '{"command": "parse", "error": {"message": "unrecognized arguments: b.tdo"}, "status": "error"}'),
+    (["frob"], 1,
+     '{"command": null, "error": {"message": "argument command: invalid choice: \'frob\' (choose from '
+     '\'parse\', \'metrics\', \'emit\', \'rewrite\', \'verify\', \'obstruct\')"}, "status": "error"}'),
+], ids=["stages-zero", "directory", "missing-file", "not-utf8", "missing-file2", "extra-argument",
+        "unknown-command"])
+def test_refusal_line_is_pinned(tmp_path, monkeypatch, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "bad.tdo").write_bytes(b"qubits 1\n\xff\xfe\n")
+    assert run(argv) == (code, "", line + "\n")
 
 
 def test_help_is_unchanged(capsys):
@@ -491,10 +519,17 @@ def test_overlong_width_cap_exits_1(tmp_path, monkeypatch, int_digit_limit):
 
 
 def test_overlong_stage_count_exits_1(int_digit_limit):
-    # argparse reports the ValueError of int() as a usage error.
     code, out, err = run(["rewrite", str(FIXTURES / "toffoli-nc.tdo"), "--stages", "9" * 5000])
     assert (code, out) == (1, "")
-    assert report_of(err)["error"]["message"].startswith("argument --stages: invalid")
+    message = report_of(err)["error"]["message"]
+    assert message == "argument --stages: has 5000 digits, more than the 4299 allowed"
+
+
+def test_overlong_control_count_exits_1(int_digit_limit):
+    code, out, err = run(["emit", "multi-controlled-x", "--controls", "9" * 5000])
+    assert (code, out) == (1, "")
+    message = report_of(err)["error"]["message"]
+    assert message == "argument --controls: has 5000 digits, more than the 4299 allowed"
 
 
 @pytest.mark.parametrize("name", ["controlled-t", "add-control"])
