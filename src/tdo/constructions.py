@@ -141,7 +141,7 @@ def _check_controlled(g: Circuit) -> None:
     """Require the induced operator to be identity when qubit 0 is |0>."""
     if g.n_main < 1:
         raise NotAControlledCircuit("inner circuit has no main qubits")
-    columns = induced_columns(g)
+    columns = list(induced_columns(g))
     for x in range(len(columns) // 2):
         if columns[x] != {x: ONE}:
             raise NotAControlledCircuit(
@@ -188,41 +188,24 @@ def multi_controlled_x(k: int, use_ancilla: bool = True) -> Circuit:
     if k == 1:
         return Circuit(2, 0, (_g("cx", 0, 1),))
 
+    # Wires k+1 .. 2k-2 collect the conjunctions; the pool after them gives
+    # each fold of a round its parity wire, and the core its first four.
     target = k
-    collectors = k - 2
-    rounds: list[list[tuple[int, int, int]]] = []
+    pool = range(2 * k - 1, 2 * k - 1 + max(4, k // 2))
     wires = list(range(k))
-    next_collector = k + 1
+    collector = k + 1
+    folds: list[Gate] = []
     while len(wires) > 2:
-        folds = []
-        merged = []
-        for i in range(0, len(wires) - 1, 2):
-            folds.append((wires[i], wires[i + 1], next_collector))
-            merged.append(next_collector)
-            next_collector += 1
-        if len(wires) % 2:
-            merged.append(wires[-1])
-        rounds.append(folds)
-        wires = merged
-
-    pool_base = k + 1 + collectors
-    pool_size = max([4, *map(len, rounds)])
-    n_anc = collectors + pool_size
-
-    fold_gates: list[Gate] = []
-    for folds in rounds:
-        for slot, (u, v, out) in enumerate(folds):
-            parity = pool_base + slot if use_ancilla else None
-            fold_gates.extend(_cc_minus_ix_gates(u, v, out, parity))
-    core = _ccz_tdepth1_gates(wires[0], wires[1], target, tuple(range(pool_base, pool_base + 4)))
-    gates = (
-        tuple(fold_gates)
-        + (_g("h", target),)
-        + core
-        + (_g("h", target),)
-        + invert_gates(tuple(fold_gates))
-    )
-    return Circuit(k + 1, n_anc, gates)
+        pairs = len(wires) // 2
+        for slot in range(pairs):
+            u, v = wires[2 * slot], wires[2 * slot + 1]
+            parity = pool[slot] if use_ancilla else None
+            folds += _cc_minus_ix_gates(u, v, collector + slot, parity)
+        wires = [*range(collector, collector + pairs), *wires[2 * pairs:]]
+        collector += pairs
+    core = _ccz_tdepth1_gates(wires[0], wires[1], target, tuple(pool[:4]))
+    gates = (*folds, _g("h", target), *core, _g("h", target), *invert_gates(tuple(folds)))
+    return Circuit(k + 1, k - 2 + len(pool), gates)
 
 
 def controlled_t(use_ancilla: bool = True) -> Circuit:

@@ -19,11 +19,11 @@ the run ends, and their constructor normalises each amplitude, so results
 are canonical whatever k the run held. Nothing rounds.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
-per basis input (`induced_columns`). A circuit with an h runs each column
-through `apply_circuit`. An h-free circuit is run once for all inputs,
-bit-sliced: each wire is one 2^n_main-bit integer whose bit x is the
-wire's value on main-register input x, and the omega exponent mod 8 is
-three such bit-planes. A move ANDs its control wires into a mask, adds
+per basis input, yielded in input order (`induced_columns`); with an h,
+each input runs through the kernel alone. An h-free circuit runs once for
+all inputs, bit-sliced: each wire is one 2^n_main-bit integer whose bit x
+is the wire's value on main-register input x, and the omega exponent mod 8
+is three such bit-planes. A move ANDs its control wires into a mask, adds
 e times the mask into the planes with a 3-bit ripple add, then XORs the
 mask into its flip wires, so a gate costs a few big-integer operations
 whatever n_main is. The slices take (main + touched ancilla wires) x
@@ -31,26 +31,32 @@ whatever n_main is. The slices take (main + touched ancilla wires) x
 ancilla wires is zero exactly when every input restores them, and its
 lowest set bit is the first input that does not. Equivalence checking of
 two h-free circuits compares the slices themselves; otherwise it compares
-the columns directly. Only `induced_unitary` densifies columns into an
-`ExactMatrix`.
+the two column streams pair by pair, holding one column of each. Only
+`induced_unitary` densifies columns into an `ExactMatrix`.
 
 One width cap bounds the 2^n simulations, bit-sliced or not: 12 qubits
 for state simulation and for the main register of an induced operator.
 The same cap bounds the support: a state that an h leaves with more than
 2^cap nonzero amplitudes raises TooWide, so ancillas that gates touch
-cannot grow a column past what a full cap-wide state holds. The TDO_MAX_QUBITS environment variable,
-a string of ASCII digits, overrides it; `width_cap()` reads it on each use.
+cannot grow a column past what a full cap-wide state holds. The
+TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
+than MAX_CAP, overrides it; `width_cap()` reads it on each use.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
+# Under a 1 GiB address space, `verify` of `qubits N`/`t 0`/`cx 0 1`/
+# `ccx 0 1 2` against itself works up to N = 26 and runs out of memory
+# from 27, so no cap that worked there is refused. At 26, h on 26 touched
+# ancillas still ends in one "out of memory" line, after about 13 s.
+MAX_CAP = 26
 
 
 class WidthMismatch(DomainError, ValueError):
@@ -62,7 +68,7 @@ class TooWide(DomainError, ValueError):
 
 
 class BadWidthCap(DomainError, ValueError):
-    """TDO_MAX_QUBITS is set to something other than ASCII digits, or too many."""
+    """TDO_MAX_QUBITS is not a string of ASCII digits, or is above MAX_CAP."""
 
 
 class AncillaContractViolated(DomainError):
@@ -84,6 +90,8 @@ def width_cap() -> int:
         raise BadWidthCap(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
     if too_long := decimal_too_long(env):
         raise BadWidthCap(f"TDO_MAX_QUBITS {too_long}")
+    if int(env) > MAX_CAP:
+        raise BadWidthCap(f"TDO_MAX_QUBITS must be at most {MAX_CAP}, got {env}")
     return int(env)
 
 
@@ -245,24 +253,13 @@ class ExactState:
         return f"ExactState({self.n}, {{{inside}}})"
 
 
-def apply_circuit(
-    state: ExactState, c: Circuit, *, compiled: list[CompiledGate] | None = None
-) -> ExactState:
-    """Run the gate list over the state; exact amplitudes, new state.
+def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tuple[dict, int]:
+    """Compiled steps over an n-qubit state of shared-k coefficient tuples.
 
-    A caller that runs one circuit on many inputs passes ``compiled``, the
-    circuit's ``_compile(c)``, so that it is compiled only once. TooWide is
-    raised once an h leaves more than 2^width_cap() nonzero amplitudes.
+    Returns the new amplitudes and k. TooWide is raised once an h leaves
+    more than 2^cap nonzero amplitudes.
     """
-    if state.n != c.width:
-        raise WidthMismatch(
-            f"state has {state.n} qubits but the circuit needs {c.width}"
-        )
-    n = state.n
-    cap = width_cap()
-    k = max((v.k for v in state._amps.values()), default=0)
-    amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
-    for step in compiled if compiled is not None else _compile(c):
+    for step in steps:
         amps = _apply_gate(amps, step, n)
         if step[0]:
             # More than 2^cap amplitudes, without building 2^cap for a huge cap.
@@ -271,7 +268,21 @@ def apply_circuit(
             k += 1
             while k and (halved := _halved(amps)) is not None:
                 amps, k = halved, k - 1
-    return ExactState(n, {i: RingScalar(*v, k) for i, v in amps.items()})
+    return amps, k
+
+
+def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
+    """Run the gate list over the state; exact amplitudes, new state.
+
+    TooWide is raised once an h leaves more than 2^width_cap() nonzero
+    amplitudes.
+    """
+    if state.n != c.width:
+        raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
+    k = max((v.k for v in state._amps.values()), default=0)
+    amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
+    amps, k = _run(amps, k, _compile(c), state.n, width_cap())
+    return ExactState(state.n, {i: RingScalar(*v, k) for i, v in amps.items()})
 
 
 class ExactMatrix:
@@ -292,7 +303,7 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def from_columns(cls, dim: int, columns: Sequence[Mapping[int, RingScalar]]) -> ExactMatrix:
+    def from_columns(cls, dim: int, columns: Iterable[Mapping[int, RingScalar]]) -> ExactMatrix:
         rows = [[ZERO] * dim for _ in range(dim)]
         for j, column in enumerate(columns):
             for i, v in column.items():
@@ -387,14 +398,14 @@ def _sliced(c: Circuit) -> tuple[list[int], tuple[int, ...]]:
     return [wires[q] for q in range(n)], planes
 
 
-def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
-    """One sparse column {output index: amplitude} per main-register input.
+def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
+    """One sparse column {output index: amplitude} per main-register input, in order.
 
     Ancillas start in |0>. Every input is simulated; AncillaContractViolated
     reports the first whose output touches a nonzero ancilla pattern. The
     main register is capped like state simulation (TooWide). An h-free
-    circuit is read off its bit-sliced run; otherwise only the ancillas
-    that gates touch are simulated, renumbered densely after the main wires.
+    circuit is read off its bit-sliced run; otherwise each input runs on its
+    own, over only the ancillas that gates touch, renumbered after the mains.
     """
     if _h_free(c):
         mains, planes = _sliced(c)
@@ -405,7 +416,8 @@ def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
         for value in (*mains, *reversed(planes)):
             bits = reversed(format(value, f"0{lanes}b"))
             codes = [2 * code + (bit == "1") for code, bit in zip(codes, bits)]
-        return [{code >> 3: _OMEGA_POWERS[code & 7]} for code in codes]
+        yield from ({code >> 3: _OMEGA_POWERS[code & 7]} for code in codes)
+        return
     dim = _main_inputs(c)
     touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
     if len(touched) < c.n_anc:
@@ -415,17 +427,13 @@ def induced_columns(c: Circuit) -> list[dict[int, RingScalar]]:
         ))
     n, n_anc = c.width, c.n_anc
     steps = _compile(c)
+    cap = width_cap()
     anc_mask = (1 << n_anc) - 1
-    columns: list[dict[int, RingScalar]] = []
     for x in range(dim):
-        state = apply_circuit(ExactState.basis(n, x << n_anc), c, compiled=steps)
-        column: dict[int, RingScalar] = {}
-        for index, v in state._amps.items():
-            if index & anc_mask:
-                raise AncillaContractViolated(x)
-            column[index >> n_anc] = v
-        columns.append(column)
-    return columns
+        amps, k = _run({x << n_anc: (1, 0, 0, 0)}, 0, steps, n, cap)
+        if any(index & anc_mask for index in amps):
+            raise AncillaContractViolated(x)
+        yield {index >> n_anc: RingScalar(*v, k) for index, v in amps.items()}
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
@@ -441,12 +449,13 @@ def _times_omega(v: RingScalar, e: int) -> RingScalar:
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     """The j with induced(c1) = omega^j * induced(c2), or None.
 
-    Both circuits are simulated in full, c1 first, so a contract violation
-    is reported whether or not the operators differ. Two h-free circuits
-    are compared bit-sliced: equal main wires, and an exponent difference
-    that is the same j on every lane, so each difference plane is all
-    zeros or all ones. Otherwise j is read off one entry of column 0, and
-    then each column pair is compared once.
+    Both circuits are simulated on every input, and a refusal from c1 wins
+    over one from c2, so a contract violation is reported whether or not
+    the operators differ. Two h-free circuits are compared bit-sliced: equal
+    main wires, and an exponent difference that is the same j on every
+    lane, so each difference plane is all zeros or all ones. Otherwise j is
+    read off one entry of column 0, and then the two column streams are
+    compared pair by pair, one column of each held at a time.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")
@@ -461,20 +470,27 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
         if any(plane not in (0, full) for plane in difference):
             return None
         return sum(1 << i for i, plane in enumerate(difference) if plane)
-    cols1 = induced_columns(c1)
-    cols2 = induced_columns(c2)
-    # A unitary's column is never empty.
-    i, v = next(iter(cols1[0].items()))
-    w = cols2[0].get(i)
-    if w is None:
-        return None
-    j = next((j for j in range(8) if v == _times_omega(w, j)), None)
-    if j is None:
-        return None
-    for col1, col2 in zip(cols1, cols2):
-        if col1.keys() != col2.keys():
-            return None
-        for i, v in col1.items():
-            if v != _times_omega(col2[i], j):
-                return None
-    return j
+    # A refusal from c2 waits until c1 has passed on every input, as if c1
+    # had been simulated in full first.
+    columns2 = induced_columns(c2)
+    held: Exception | None = None
+    j: int | None = None
+    same = True
+    for col1 in induced_columns(c1):
+        if held is not None:
+            continue
+        try:
+            col2 = next(columns2)
+        except (DomainError, MemoryError) as exc:
+            held = exc.with_traceback(None)
+            continue
+        if same and j is None:
+            i, v = next(iter(col1.items()))  # a unitary's column is never empty
+            w = col2.get(i)
+            j = next((j for j in range(8) if w is not None and v == _times_omega(w, j)), None)
+        same = same and j is not None and col1.keys() == col2.keys() and all(
+            v == _times_omega(col2[i], j) for i, v in col1.items()
+        )
+    if held is not None:
+        raise held
+    return j if same else None

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,18 +117,14 @@ def test_parse_any_bytes_reports_once(tmp_path_factory, data):
 _ADDRESS_SPACE = 1 << 30
 
 
-def _limit_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
-
-
-def run_limited(argv):
-    """`python -m tdo.cli ARGV` in a child whose address space is capped at 1 GiB."""
+def run_limited(argv, address_space=_ADDRESS_SPACE):
+    """`python -m tdo.cli ARGV` in a child whose address space is capped (1 GiB by default)."""
     src = str(Path(tdo.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "tdo.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_limit_address_space,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -554,16 +551,47 @@ def test_verify_bounds_touched_ancilla_support(tmp_path):
 
 
 def test_verify_out_of_memory_is_one_line(tmp_path, monkeypatch):
-    # Under a cap of 33 the bit-sliced run of 2^33 lanes cannot allocate.
+    # Under the highest cap, the bit-sliced run of 2^26 lanes cannot
+    # allocate in 256 MiB.
     path = tmp_path / "wide.tdo"
-    path.write_text("qubits 33\ncx 0 1\n")
-    monkeypatch.setenv("TDO_MAX_QUBITS", "33")
-    code, out, err = run_limited(["verify", str(path), str(path)])
+    path.write_text("qubits 26\ncx 0 1\n")
+    monkeypatch.setenv("TDO_MAX_QUBITS", "26")
+    code, out, err = run_limited(["verify", str(path), str(path)], address_space=1 << 28)
     assert (code, out) == (1, ""), err
     assert len(err.splitlines()) == 1
     report = report_of(err)
     assert (report["command"], report["status"]) == ("verify", "error")
     assert report["error"] == {"message": "out of memory"}
+
+
+def test_width_cap_has_a_ceiling(tmp_path, monkeypatch):
+    # A cap of 40 bounds neither time nor memory: under it, h on 40 ancillas
+    # ran for over a minute with no report. It is refused before the file
+    # is read.
+    path = tmp_path / "wide-support.tdo"
+    path.write_text("qubits 1\nancillas 40\n" + "".join(f"h {q}\n" for q in range(1, 41)))
+    monkeypatch.setenv("TDO_MAX_QUBITS", "40")
+    start = time.monotonic()
+    code, out, err = run_limited(["verify", str(path), str(path)])
+    assert time.monotonic() - start < 10
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert report_of(err)["error"] == {"message": "TDO_MAX_QUBITS must be at most 26, got 40"}
+
+
+def test_width_cap_ceiling_is_accepted(monkeypatch):
+    monkeypatch.setenv("TDO_MAX_QUBITS", "26")
+    code, out, _ = run(["verify", str(FIXTURES / "toffoli-nc.tdo"), str(FIXTURES / "toffoli-nc.tdo")])
+    assert (code, out) == (0, '{"equivalent": true}\n')
+
+
+def test_verify_holds_one_column_per_circuit(tmp_path):
+    # Every column of h on all ten wires has full support: all 1024 columns
+    # of both circuits at once do not fit in 256 MiB, one of each does.
+    path = tmp_path / "all-h.tdo"
+    path.write_text("qubits 10\n" + "".join(f"h {q}\n" for q in range(10)))
+    code, out, err = run_limited(["verify", str(path), str(path)], address_space=1 << 28)
+    assert (code, out) == (0, '{"equivalent": true}\n'), err
 
 
 def test_domain_errors_share_one_base():

@@ -118,6 +118,9 @@ def test_equivalence_phase_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "from_columns", refuse)
     monkeypatch.setattr(ExactMatrix, "scaled", refuse)
+    # Columns come straight off the kernel, with no state object per input.
+    monkeypatch.setattr(sim, "ExactState", refuse)
+    monkeypatch.setattr(sim, "apply_circuit", refuse)
     anc, bare = multi_controlled_x(5), multi_controlled_x(5, use_ancilla=False)
     assert equivalence_phase(anc, bare) == 0
     # x t s x t s is omega^3 times the identity.
@@ -153,6 +156,20 @@ def test_equivalence_phase_of_h_free_circuits_is_bit_sliced(monkeypatch):
     with pytest.raises(AncillaContractViolated) as excinfo:
         equivalence_phase(leaking, c)
     assert excinfo.value.basis_input == 512
+
+
+def test_equivalence_phase_reports_c1_refusal_first():
+    # h h on the ancilla keeps both circuits off the bit-sliced path. With
+    # wire 0 as the MSB, leak3 sets the ancilla on input 3 and leak1 on 1.
+    hh = (gate("h", 2), gate("h", 2))
+    leak3 = Circuit(2, 1, hh + (gate("ccx", 0, 1, 2),))
+    leak1 = Circuit(2, 1, hh + (gate("x", 0), gate("ccx", 0, 1, 2), gate("x", 0)))
+    differs = Circuit(2, 1, hh + (gate("x", 0),))
+    cases = [(leak3, leak1, 3), (leak1, leak3, 1), (differs, leak1, 1), (Circuit(2, 1, hh), leak3, 3)]
+    for c1, c2, first in cases:
+        with pytest.raises(AncillaContractViolated) as excinfo:
+            equivalence_phase(c1, c2)
+        assert excinfo.value.basis_input == first
 
 
 def test_is_almost_classical_on_gates():
