@@ -52,10 +52,10 @@ from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_asc
 from .ring import ONE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
-# Under a 1 GiB address space, `verify` of `qubits N`/`t 0`/`cx 0 1`/
-# `ccx 0 1 2` against itself works up to N = 26 and runs out of memory
-# from 27, so no cap that worked there is refused. At 26, h on 26 touched
-# ancillas still ends in one "out of memory" line, after about 13 s.
+# Tied to a 1 GiB address space: there `verify` of `qubits N`/`t 0`/`cx 0 1`/
+# `ccx 0 1 2` against itself works up to N = 26, not 27, so a larger host gives up caps
+# it could run. It bounds memory, not time: h on 26 touched ancillas runs about
+# 13 s before 1 GiB ends it in one "out of memory" line, longer with no limit.
 MAX_CAP = 26
 
 
@@ -262,8 +262,7 @@ def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tup
     for step in steps:
         amps = _apply_gate(amps, step, n)
         if step[0]:
-            # More than 2^cap amplitudes, without building 2^cap for a huge cap.
-            if (len(amps) - 1) >> cap > 0:
+            if len(amps) > 1 << cap:
                 raise TooWide(f"state support exceeds 2^{cap} amplitudes, the width cap")
             k += 1
             while k and (halved := _halved(amps)) is not None:
@@ -437,8 +436,8 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
-    """`induced_columns` as a dense 2^n_main square matrix."""
-    return ExactMatrix.from_columns(1 << c.n_main, induced_columns(c))
+    """`induced_columns` as a dense 2^n_main square matrix, capped before it is allocated."""
+    return ExactMatrix.from_columns(_main_inputs(c), induced_columns(c))
 
 
 def _times_omega(v: RingScalar, e: int) -> RingScalar:

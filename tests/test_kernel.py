@@ -1,5 +1,11 @@
 """The integer-coefficient kernel and the gate table against the reference simulator."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +21,7 @@ from tdo.sim import (
     induced_unitary,
 )
 
+import tdo
 import reference_sim as ref
 from conftest import gate, gate_unitary
 
@@ -243,6 +250,27 @@ def test_induced_unitary_width_cap(monkeypatch):
         induced_unitary(Circuit(3))
     # The cap counts main qubits only; ancillas are simulated, not stored.
     assert induced_unitary(Circuit(2, 2)) == ref.identity(4)
+
+
+def test_induced_unitary_checks_cap_before_allocating():
+    # A 2^30-square matrix would not fit in 256 MiB; TooWide must come first.
+    script = (
+        "from tdo.circuit import Circuit\n"
+        "from tdo.sim import TooWide, induced_unitary\n"
+        "try:\n"
+        "    induced_unitary(Circuit(30))\n"
+        "except TooWide:\n"
+        "    print('TooWide')\n"
+    )
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "TDO_MAX_QUBITS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limit = 1 << 28
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "TooWide\n"), proc.stderr
 
 
 def test_apply_circuit_bounds_support(monkeypatch):
