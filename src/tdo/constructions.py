@@ -14,6 +14,7 @@ eighth-root phases at once, and the mirrored CNOTs uncompute.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 
 from .circuit import Circuit, DomainError, Gate, invert_gates
@@ -141,12 +142,11 @@ def _check_controlled(g: Circuit) -> None:
     """Require the induced operator to be identity when qubit 0 is |0>."""
     if g.n_main < 1:
         raise NotAControlledCircuit("inner circuit has no main qubits")
-    columns = list(induced_columns(g))
-    for x in range(len(columns) // 2):
-        if columns[x] != {x: ONE}:
-            raise NotAControlledCircuit(
-                "qubit 0 of the inner circuit is not a pure control"
-            )
+    columns = induced_columns(g)
+    pure = all(col == {x: ONE} for x, col in zip(range(1 << (g.n_main - 1)), columns))
+    deque(columns, maxlen=0)  # the ancilla contract is checked on every input first
+    if not pure:
+        raise NotAControlledCircuit("qubit 0 of the inner circuit is not a pure control")
 
 
 def add_control(g: Circuit, use_ancilla: bool = True) -> Circuit:

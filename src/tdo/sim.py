@@ -6,11 +6,14 @@ state |x y z> has index 4x + 2y + z. A state stores only its nonzero
 amplitudes (most circuits here are permutation+phase and keep basis
 inputs on a single branch).
 
-The kernel compiles a circuit once per call into one step per gate: a
-monomial gate becomes the bitmask moves (control mask, flip mask, omega
-exponent) of its `GATES` action, and h keeps the bit of its wire. While a
-circuit runs, a state is a dict from basis index to four Python ints
-(a, b, c, d) over one shared denominator exponent k, meaning
+The kernel compiles a circuit once per call, each distinct gate once, over
+a layout that gives each wire one basis-index bit (an induced operator's
+layout skips the ancillas no gate touches): a monomial gate becomes the
+bitmask moves (control mask, flip mask, omega exponent) of its `GATES`
+action, where a one-wire mask is the layout's own integer, shared by every
+gate on that wire, and h keeps the bit of its wire. While a circuit runs,
+a state is a dict from basis index to four Python ints (a, b, c, d) over
+one shared denominator exponent k, meaning
 (a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k. A phase omega^e is a
 signed rotation of the four ints; h adds and subtracts amplitude pairs and
 raises k by one, after which the whole state is divided by sqrt2 for as
@@ -46,6 +49,7 @@ than MAX_CAP, overrides it; `width_cap()` reads it on each use.
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
@@ -118,21 +122,24 @@ _OMEGA_POWERS = tuple(omega_pow(e) for e in range(8))
 _ZERO_COEFFS = (0, 0, 0, 0)
 
 
-def _compile(c: Circuit) -> list[CompiledGate]:
-    """One step per gate, with qubit positions turned into basis-index bits."""
-    n = c.width
-    steps = []
-    for gate in c.gates:
-        bits = [1 << (n - 1 - q) for q in gate.qubits]
+def _compile(gates: Sequence[Gate], bit: Mapping[int, int]) -> list[CompiledGate]:
+    """One step per gate, each distinct gate compiled once; wire q is basis-index bit bit[q]."""
+    steps = dict.fromkeys(gates)
+    for gate in steps:
+        bits = [bit[q] for q in gate.qubits]
         action = GATES[gate.kind].action
         if action is None:  # h, the one kind that is not monomial
-            steps.append((bits[0], ()))
+            steps[gate] = (bits[0], ())
         else:
-            steps.append((0, tuple(
-                (sum(bits[p] for p in controls), sum(bits[p] for p in flips), e & 7)
-                for controls, flips, e in action
-            )))
-    return steps
+            steps[gate] = (0, tuple(
+                (_mask(bits, controls), _mask(bits, flips), e & 7) for controls, flips, e in action
+            ))
+    return [steps[gate] for gate in gates]
+
+
+def _mask(bits: list[int], positions: Sequence[int]) -> int:
+    """The sum of the bits at positions; a lone bit is the layout's own integer, not a copy."""
+    return bits[positions[0]] if len(positions) == 1 else sum(bits[p] for p in positions)
 
 
 def _move(amps: dict[int, tuple], cmask: int, fmask: int, e: int) -> dict[int, tuple]:
@@ -280,7 +287,8 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
         raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
     k = max((v.k for v in state._amps.values()), default=0)
     amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
-    amps, k = _run(amps, k, _compile(c), state.n, width_cap())
+    bit = {q: 1 << (state.n - 1 - q) for gate in c.gates for q in gate.qubits}
+    amps, k = _run(amps, k, _compile(c.gates, bit), state.n, width_cap())
     return ExactState(state.n, {i: RingScalar(*v, k) for i, v in amps.items()})
 
 
@@ -404,7 +412,7 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
     reports the first whose output touches a nonzero ancilla pattern. The
     main register is capped like state simulation (TooWide). An h-free
     circuit is read off its bit-sliced run; otherwise each input runs on its
-    own, over only the ancillas that gates touch, renumbered after the mains.
+    own, and only the ancillas that gates touch get a bit, after the mains.
     """
     if _h_free(c):
         mains, planes = _sliced(c)
@@ -419,13 +427,10 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
         return
     dim = _main_inputs(c)
     touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
-    if len(touched) < c.n_anc:
-        wire = {q: c.n_main + i for i, q in enumerate(touched)}
-        c = Circuit(c.n_main, len(touched), tuple(
-            Gate(gate.kind, tuple(wire.get(q, q) for q in gate.qubits)) for gate in c.gates
-        ))
-    n, n_anc = c.width, c.n_anc
-    steps = _compile(c)
+    n, n_anc = c.n_main + len(touched), len(touched)
+    # The mains, then the touched ancillas, from the most significant bit down.
+    bit = {q: 1 << (n - 1 - p) for p, q in enumerate([*range(c.n_main), *touched])}
+    steps = _compile(c.gates, bit)
     cap = width_cap()
     anc_mask = (1 << n_anc) - 1
     for x in range(dim):
@@ -440,9 +445,9 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
     return ExactMatrix.from_columns(_main_inputs(c), induced_columns(c))
 
 
-def _times_omega(v: RingScalar, e: int) -> RingScalar:
-    """omega^e * v as a rotation of v's coefficients, with no ring multiply."""
-    return RingScalar(*_ROTATE[e](v.a, v.b, v.c, v.d), v.k)
+def _rotated(column: Mapping[int, RingScalar], e: int) -> dict[int, RingScalar]:
+    """omega^e times a column, as rotations of its coefficients with no ring multiply."""
+    return {i: RingScalar(*_ROTATE[e](v.a, v.b, v.c, v.d), v.k) for i, v in column.items()}
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
@@ -453,8 +458,8 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     the operators differ. Two h-free circuits are compared bit-sliced: equal
     main wires, and an exponent difference that is the same j on every
     lane, so each difference plane is all zeros or all ones. Otherwise j is
-    read off one entry of column 0, and then the two column streams are
-    compared pair by pair, one column of each held at a time.
+    read off column 0, and the two column streams are compared pair by
+    pair, one column of each held at a time.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")
@@ -469,27 +474,19 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
         if any(plane not in (0, full) for plane in difference):
             return None
         return sum(1 << i for i, plane in enumerate(difference) if plane)
-    # A refusal from c2 waits until c1 has passed on every input, as if c1
-    # had been simulated in full first.
+    columns1 = induced_columns(c1)
     columns2 = induced_columns(c2)
-    held: Exception | None = None
     j: int | None = None
-    same = True
-    for col1 in induced_columns(c1):
-        if held is not None:
-            continue
+    for x, col1 in enumerate(columns1):
         try:
             col2 = next(columns2)
         except (DomainError, MemoryError) as exc:
-            held = exc.with_traceback(None)
-            continue
-        if same and j is None:
-            i, v = next(iter(col1.items()))  # a unitary's column is never empty
-            w = col2.get(i)
-            j = next((j for j in range(8) if w is not None and v == _times_omega(w, j)), None)
-        same = same and j is not None and col1.keys() == col2.keys() and all(
-            v == _times_omega(col2[i], j) for i, v in col1.items()
-        )
-    if held is not None:
-        raise held
-    return j if same else None
+            # c1's refusal wins, as if c1 ran in full first; c2's traceback is let go meanwhile.
+            exc.with_traceback(None)
+            deque(columns1, maxlen=0)
+            raise
+        if not x:
+            j = next((j for j in range(8) if col1 == _rotated(col2, j)), None)
+        if j is not None and col1 != _rotated(col2, j):
+            j = None
+    return j

@@ -583,6 +583,19 @@ def test_verify_holds_one_column_per_circuit(tmp_path):
     assert (code, out) == (0, '{"equivalent": true}\n'), err
 
 
+def test_verify_compiles_long_files_over_touched_wires(tmp_path):
+    # 80000 cx on 40000 ancillas: one width-sized mask per gate qubit would
+    # not fit in 256 MiB; one bit per touched wire, shared by its gates, does.
+    n = 40000
+    fans = [f"cx 0 {i}\n" for i in range(1, n + 1)]
+    path = tmp_path / "restoring.tdo"
+    path.write_text(f"qubits 1\nancillas {n}\nh 0\n" + "".join(fans + fans[::-1]) + "h 0\n")
+    identity = tmp_path / "identity.tdo"
+    identity.write_text("qubits 1\n")
+    code, out, err = run_limited(["verify", str(path), str(identity)], address_space=1 << 28)
+    assert (code, out) == (0, '{"equivalent": true}\n'), err
+
+
 def test_domain_errors_share_one_base():
     # The CLI reports each of these as exit 1 through one handler; the ones
     # that were ValueErrors stay ValueErrors for Python callers.

@@ -22,7 +22,7 @@ from tdo.constructions import (
     toffoli_tdepth1,
 )
 from tdo.ring import OMEGA, ONE
-from tdo.sim import ExactMatrix, equivalence_phase, induced_unitary
+from tdo.sim import AncillaContractViolated, ExactMatrix, equivalence_phase, induced_unitary
 from tdo.text import parse
 
 import reference_sim as ref
@@ -138,6 +138,16 @@ def test_add_control_rejects_non_controlled_circuits():
         add_control(Circuit(1, 0, (gate("x", 0),)))
     with pytest.raises(NotAControlledCircuit):
         add_control(Circuit(1, 0, (gate("h", 0),)))
+
+
+@pytest.mark.parametrize("prefix", [(), (gate("h", 2), gate("h", 2))])
+def test_add_control_checks_the_ancilla_contract_first(prefix):
+    # Not a pure control on input 0, and it leaks the ancilla on input 2:
+    # the leak is what gets reported, on the bit-sliced and the h path.
+    inner = Circuit(2, 1, prefix + (gate("x", 1), gate("ccx", 0, 1, 2)))
+    with pytest.raises(AncillaContractViolated) as excinfo:
+        add_control(inner)
+    assert excinfo.value.basis_input == 2
 
 
 def test_add_control_accepts_controlled_phase():

@@ -10,6 +10,7 @@ from tdo.sim import (
     AncillaContractViolated,
     ExactMatrix,
     ExactState,
+    TooWide,
     WidthMismatch,
     apply_circuit,
     equivalence_phase,
@@ -158,7 +159,7 @@ def test_equivalence_phase_of_h_free_circuits_is_bit_sliced(monkeypatch):
     assert excinfo.value.basis_input == 512
 
 
-def test_equivalence_phase_reports_c1_refusal_first():
+def test_equivalence_phase_reports_c1_refusal_first(monkeypatch):
     # h h on the ancilla keeps both circuits off the bit-sliced path. With
     # wire 0 as the MSB, leak3 sets the ancilla on input 3 and leak1 on 1.
     hh = (gate("h", 2), gate("h", 2))
@@ -170,6 +171,14 @@ def test_equivalence_phase_reports_c1_refusal_first():
         with pytest.raises(AncillaContractViolated) as excinfo:
             equivalence_phase(c1, c2)
         assert excinfo.value.basis_input == first
+    # A TooWide from c2 on its first column also waits for c1's leak.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "2")
+    wide = Circuit(2, 3, (gate("h", 2), gate("h", 3), gate("h", 4)))
+    with pytest.raises(AncillaContractViolated) as excinfo:
+        equivalence_phase(leak3, wide)
+    assert excinfo.value.basis_input == 3
+    with pytest.raises(TooWide):
+        equivalence_phase(wide, leak3)
 
 
 def test_is_almost_classical_on_gates():
