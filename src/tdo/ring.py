@@ -36,6 +36,19 @@ def _times_sqrt2(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     return b - d, a + c, b + d, c - a
 
 
+# omega^e * (a + b*omega + c*omega^2 + d*omega^3), using omega^4 = -1.
+ROTATE = (
+    lambda a, b, c, d: (a, b, c, d),
+    lambda a, b, c, d: (-d, a, b, c),
+    lambda a, b, c, d: (-c, -d, a, b),
+    lambda a, b, c, d: (-b, -c, -d, a),
+    lambda a, b, c, d: (-a, -b, -c, -d),
+    lambda a, b, c, d: (d, -a, -b, -c),
+    lambda a, b, c, d: (c, d, -a, -b),
+    lambda a, b, c, d: (b, c, d, -a),
+)
+
+
 class RingScalar:
     """One exact ring element; immutable and hashable.
 

@@ -6,41 +6,57 @@ state |x y z> has index 4x + 2y + z. A state stores only its nonzero
 amplitudes (most circuits here are permutation+phase and keep basis
 inputs on a single branch).
 
-The kernel compiles a circuit once per call, each distinct gate once, over
-a layout that gives each wire one basis-index bit (an induced operator's
-layout skips the ancillas no gate touches): a monomial gate becomes the
-bitmask moves (control mask, flip mask, omega exponent) of its `GATES`
-action, where a one-wire mask is the layout's own integer, shared by every
-gate on that wire, and h keeps the bit of its wire. While a circuit runs,
-a state is a dict from basis index to four Python ints (a, b, c, d) over
-one shared denominator exponent k, meaning
-(a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k. A phase omega^e is a
-signed rotation of the four ints; h adds and subtracts amplitude pairs and
-raises k by one, after which the whole state is divided by sqrt2 for as
-long as every amplitude allows it. RingScalar values are built only when
-the run ends, and their constructor normalises each amplitude, so results
-are canonical whatever k the run held. Nothing rounds.
+Both kernels compile a circuit once per call, each distinct gate once,
+over a layout that gives each simulated wire one index bit: a monomial gate
+becomes the bitmask moves (control mask, flip mask, omega exponent) of its
+`GATES` action, where a one-wire mask is the layout's own integer, shared
+by every gate on that wire, and h keeps the bit of its wire. An amplitude
+is four Python ints (a, b, c, d) over one denominator exponent k that the
+whole state shares, meaning (a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k.
+A phase omega^e is a signed rotation of the four ints; h adds and subtracts
+amplitude pairs and raises k by one, after which the whole state is divided
+by sqrt2 for as long as every amplitude allows it. RingScalar values are
+built only when the run ends, and their constructor normalises each
+amplitude, so results are canonical whatever k the run held. Nothing rounds.
+
+State simulation (`apply_circuit`) is dense and runs in `packed`. Its
+lanes are the wires that gates touch plus the wires on which the input's
+support varies; every other wire keeps its one value, so memory follows
+the lanes, not the state's width. Each of the four coefficients is one big
+integer with a W-bit two's-complement field per basis index of the lanes,
+4 x 2^lanes x W bits in all. A gate is a handful of whole-integer
+operations with no carry between fields: a phase rotates the four integers
+inside a control mask, a controlled flip shifts the masked fields by
+2^p * W bits, and h adds and subtracts each field and its partner. The test
+for division by sqrt2 and the division itself act on every field at once.
+Fields start 16 bits wide, wider if an input coefficient needs it, and
+double before any h that could overflow one, so every input is simulated
+exactly.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
-per basis input, yielded in input order (`induced_columns`); with an h,
-each input runs through the kernel alone. An h-free circuit runs once for
-all inputs, bit-sliced: each wire is one 2^n_main-bit integer whose bit x
-is the wire's value on main-register input x, and the omega exponent mod 8
-is three such bit-planes. A move ANDs its control wires into a mask, adds
-e times the mask into the planes with a 3-bit ripple add, then XORs the
-mask into its flip wires, so a gate costs a few big-integer operations
-whatever n_main is. The slices take (main + touched ancilla wires) x
-2^n_main bits. The ancilla contract stays exhaustive: the OR of the
-ancilla wires is zero exactly when every input restores them, and its
-lowest set bit is the first input that does not. Equivalence checking of
-two h-free circuits compares the slices themselves; otherwise it compares
-the two column streams pair by pair, holding one column of each. Only
-`induced_unitary` densifies columns into an `ExactMatrix`.
+per basis input, yielded in input order (`induced_columns`). With an h,
+each input runs alone through the dict kernel `_run`, whose state is a dict
+from basis index to coefficient tuple: a column is often a few amplitudes
+over thousands of touched ancillas, which no dense layout could hold. An
+h-free circuit runs once for all inputs, bit-sliced: each wire is one
+2^n_main-bit integer whose bit x is the wire's value on main-register input
+x, and the omega exponent mod 8 is three such bit-planes. A move ANDs its
+control wires into a mask, adds e times the mask into the planes with a
+3-bit ripple add, then XORs the mask into its flip wires, so a gate costs a
+few big-integer operations whatever n_main is. The slices take (main +
+touched ancilla wires) x 2^n_main bits. The ancilla contract stays
+exhaustive: the OR of the ancilla wires is zero exactly when every input
+restores them, and its lowest set bit is the first input that does not.
+Equivalence checking of two h-free circuits compares the slices
+themselves; otherwise it compares the two column streams pair by pair,
+holding one column of each. Only `induced_unitary` densifies columns into
+an `ExactMatrix`.
 
-One width cap bounds the 2^n simulations, bit-sliced or not: 12 qubits
-for state simulation and for the main register of an induced operator.
-The same cap bounds the support: a state that an h leaves with more than
-2^cap nonzero amplitudes raises TooWide, so ancillas that gates touch
+One width cap bounds the 2^n simulations, packed, bit-sliced or not: 12
+qubits for the lanes of a state simulation, checked before anything is
+allocated, and for the main register of an induced operator. On the column
+path the same cap bounds the support: a column that an h leaves with more
+than 2^cap nonzero amplitudes raises TooWide, so ancillas that gates touch
 cannot grow a column past what a full cap-wide state holds. The
 TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
 than MAX_CAP, overrides it; `width_cap()` reads it on each use.
@@ -53,7 +69,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
-from .ring import ONE, ZERO, RingScalar, omega_pow
+from .packed import run_packed, start_pattern
+from .ring import ONE, ROTATE, ZERO, RingScalar, omega_pow
 
 DEFAULT_CAP = 12
 # Tied to a 1 GiB address space: there `verify` of `qubits N`/`t 0`/`cx 0 1`/
@@ -105,25 +122,13 @@ def width_cap() -> int:
 Move = tuple[int, int, int]
 CompiledGate = tuple[int, tuple[Move, ...]]
 
-# omega^e * (a + b*omega + c*omega^2 + d*omega^3), using omega^4 = -1.
-_ROTATE = (
-    lambda a, b, c, d: (a, b, c, d),
-    lambda a, b, c, d: (-d, a, b, c),
-    lambda a, b, c, d: (-c, -d, a, b),
-    lambda a, b, c, d: (-b, -c, -d, a),
-    lambda a, b, c, d: (-a, -b, -c, -d),
-    lambda a, b, c, d: (d, -a, -b, -c),
-    lambda a, b, c, d: (c, d, -a, -b),
-    lambda a, b, c, d: (b, c, d, -a),
-)
-
 _OMEGA_POWERS = tuple(omega_pow(e) for e in range(8))
 
 _ZERO_COEFFS = (0, 0, 0, 0)
 
 
 def _compile(gates: Sequence[Gate], bit: Mapping[int, int]) -> list[CompiledGate]:
-    """One step per gate, each distinct gate compiled once; wire q is basis-index bit bit[q]."""
+    """One step per gate, each distinct gate compiled once; wire q is index bit bit[q]."""
     steps = dict.fromkeys(gates)
     for gate in steps:
         bits = [bit[q] for q in gate.qubits]
@@ -144,7 +149,7 @@ def _mask(bits: list[int], positions: Sequence[int]) -> int:
 
 def _move(amps: dict[int, tuple], cmask: int, fmask: int, e: int) -> dict[int, tuple]:
     if e:
-        rotate = _ROTATE[e]
+        rotate = ROTATE[e]
         out = dict(amps)
         for i, v in amps.items():
             if i & cmask == cmask:
@@ -202,8 +207,9 @@ def _halved(amps: dict[int, tuple]) -> dict[int, tuple] | None:
 
 
 def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int, tuple]:
-    """One compiled gate on an n-qubit state of shared-k coefficient tuples.
+    """One compiled gate on an n-qubit column of shared-k coefficient tuples.
 
+    The column kernel's step; state simulation packs its fields instead.
     Returns the new amplitudes; after an h step they are over a denominator
     one power of sqrt2 higher. The masks already encode the width n, which
     stays in the signature because perfbench/tracing.py wraps this function
@@ -261,7 +267,7 @@ class ExactState:
 
 
 def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tuple[dict, int]:
-    """Compiled steps over an n-qubit state of shared-k coefficient tuples.
+    """Compiled steps over one sparse column of shared-k coefficient tuples.
 
     Returns the new amplitudes and k. TooWide is raised once an h leaves
     more than 2^cap nonzero amplitudes.
@@ -280,16 +286,47 @@ def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tup
 def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     """Run the gate list over the state; exact amplitudes, new state.
 
-    TooWide is raised once an h leaves more than 2^width_cap() nonzero
-    amplitudes.
+    Only the lanes are simulated: the wires that gates touch or on which the
+    state's support varies. Every other wire keeps its one value. TooWide is
+    raised before anything is allocated when there are more lanes than
+    width_cap().
     """
     if state.n != c.width:
         raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
-    k = max((v.k for v in state._amps.values()), default=0)
-    amps = {i: v._scaled(k - v.k) for i, v in state._amps.items()}
-    bit = {q: 1 << (state.n - 1 - q) for gate in c.gates for q in gate.qubits}
-    amps, k = _run(amps, k, _compile(c.gates, bit), state.n, width_cap())
-    return ExactState(state.n, {i: RingScalar(*v, k) for i, v in amps.items()})
+    n, amps = state.n, state._amps
+    first = next(iter(amps), 0)
+    varying = 0
+    for i in amps:
+        varying |= i ^ first
+    wires = {q for gate in c.gates for q in gate.qubits}
+    while varying:
+        lowest = varying & -varying
+        wires.add(n - lowest.bit_length())
+        varying ^= lowest
+    lanes = sorted(wires)
+    m = len(lanes)
+    cap = width_cap()
+    if m > cap:
+        raise TooWide(f"state simulation over {m} wires exceeds the width cap of {cap}")
+    # Lane j is field-index bit m - 1 - j, so fields keep the basis order.
+    shifts = [n - 1 - q for q in lanes]
+    k = max((v.k for v in amps.values()), default=0)
+    fields = {}
+    for i, v in amps.items():
+        f = 0
+        for s in shifts:
+            f = f << 1 | i >> s & 1
+        fields[f] = v._scaled(k - v.k)
+    bit = {q: 1 << (m - 1 - j) for j, q in enumerate(lanes)}
+    fields, k = run_packed(fields, k, _compile(c.gates, bit), m)
+    constant = first & ~sum(1 << s for s in shifts)
+    out = {}
+    for f, v in fields.items():
+        i = constant
+        for j, s in enumerate(shifts):
+            i |= (f >> (m - 1 - j) & 1) << s
+        out[i] = RingScalar(*v, k)
+    return ExactState(n, out)
 
 
 class ExactMatrix:
@@ -343,20 +380,6 @@ def _main_inputs(c: Circuit) -> int:
     return 1 << c.n_main
 
 
-def _start_pattern(h: int, lanes: int) -> int:
-    """The lanes whose input x has bit h set: runs of 2^h zeros, then ones.
-
-    Built by doubling, with shifts and ORs only.
-    """
-    run = 1 << h
-    pattern = ((1 << run) - 1) << run
-    width = 2 * run
-    while width < lanes:
-        pattern |= pattern << width
-        width *= 2
-    return pattern
-
-
 def _ripple_add(xs: Sequence[int], ys: Sequence[int], carry: int = 0) -> tuple[int, ...]:
     """Lane-wise xs + ys + carry over bit-planes, least significant first.
 
@@ -381,7 +404,7 @@ def _sliced(c: Circuit) -> tuple[list[int], tuple[int, ...]]:
     n = c.n_main
     lanes = _main_inputs(c)
     full = (1 << lanes) - 1
-    wires = {q: _start_pattern(n - 1 - q, lanes) for q in range(n)}
+    wires = {q: start_pattern(n - 1 - q, lanes) for q in range(n)}
     planes: tuple[int, ...] = (0, 0, 0)
     for gate in c.gates:
         qubits = gate.qubits
@@ -447,7 +470,7 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
 
 def _rotated(column: Mapping[int, RingScalar], e: int) -> dict[int, RingScalar]:
     """omega^e times a column, as rotations of its coefficients with no ring multiply."""
-    return {i: RingScalar(*_ROTATE[e](v.a, v.b, v.c, v.d), v.k) for i, v in column.items()}
+    return {i: RingScalar(*ROTATE[e](v.a, v.b, v.c, v.d), v.k) for i, v in column.items()}
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:

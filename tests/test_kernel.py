@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdo.circuit import GATES, Circuit, Gate
-from tdo.ring import RingScalar, omega_pow
+from tdo.ring import ONE, RingScalar, omega_pow
 from tdo.sim import (
     AncillaContractViolated,
     ExactMatrix,
@@ -149,6 +149,44 @@ def test_apply_circuit_matches_reference(case):
     assert apply_circuit(state, c) == ref.apply_circuit(state, c)
 
 
+# Coefficients of every bit length up to 100, so that some sit just under a
+# field width and the fields widen part-way through a run.
+wide_scalars = st.builds(
+    RingScalar,
+    *[st.integers(0, 100).flatmap(lambda b: st.integers(-(1 << b), 1 << b))] * 4,
+    st.integers(0, 5),
+)
+
+
+@st.composite
+def circuits_on_some_wires(draw):
+    """Up to 8 wires; gates touch a drawn subset, and the support may vary anywhere."""
+    n = draw(st.integers(1, 8))
+    touched = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    kinds = ALL_KINDS + ["h"] * 6
+    gates = [_draw_gate(draw, touched, kinds) for _ in range(draw(st.integers(0, 40)))]
+    amps = draw(st.dictionaries(st.integers(0, (1 << n) - 1), wide_scalars, max_size=1 << n))
+    return Circuit(n, 0, tuple(gates)), ExactState(n, amps)
+
+
+@settings(max_examples=200)
+@given(circuits_on_some_wires())
+# 8190 fills the headroom of a 16-bit field: unless the fields widen, the
+# third h overflows one.
+@example((
+    Circuit(2, 0, (gate("h", 1), gate("h", 0), gate("h", 1))),
+    ExactState(2, {0: RingScalar(8190, 8190, -1, 8190), 2: RingScalar(8190, 8190, 8190, 8190)}),
+))
+# The support varies on wire 0, which no gate touches.
+@example((
+    Circuit(3, 0, (gate("h", 2), gate("cx", 2, 1), gate("t", 1))),
+    ExactState(3, {0: ONE, 4: RingScalar(0, 1 << 100, 0, 0, 3)}),
+))
+def test_apply_circuit_matches_reference_on_wide_coefficients(case):
+    c, state = case
+    assert apply_circuit(state, c) == ref.apply_circuit(state, c)
+
+
 @given(ancilla_circuits(ALL_KINDS))
 def test_induced_unitary_matches_reference(c):
     assert _outcome(induced_unitary, c) == _outcome(ref.induced_unitary, c)
@@ -203,7 +241,9 @@ def _sliced_examples(test):
     return test
 
 
-@settings(max_examples=300)
+# No deadline: the reference's dense phase search on 7 main qubits can take
+# longer than Hypothesis's default 200 ms on a loaded machine.
+@settings(max_examples=300, deadline=None)
 @given(verify_pairs(kind_sets=(MONOMIAL_KINDS,), n_mains=st.integers(0, 7)))
 @_sliced_examples
 def test_equivalence_phase_without_h_matches_reference(pair):
@@ -252,6 +292,18 @@ def test_induced_unitary_width_cap(monkeypatch):
     assert induced_unitary(Circuit(2, 2)) == ref.identity(4)
 
 
+def _run_limited(script, cap):
+    """Run a script in a child with TDO_MAX_QUBITS=cap and a 256 MiB address space."""
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, TDO_MAX_QUBITS=str(cap))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limit = 1 << 28
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def test_induced_unitary_checks_cap_before_allocating():
     # A 2^30-square matrix would not fit in 256 MiB; TooWide must come first.
     script = (
@@ -262,14 +314,7 @@ def test_induced_unitary_checks_cap_before_allocating():
         "except TooWide:\n"
         "    print('TooWide')\n"
     )
-    src = str(Path(tdo.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "TDO_MAX_QUBITS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    limit = 1 << 28
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_limited(script, 12)
     assert (proc.returncode, proc.stdout) == (0, "TooWide\n"), proc.stderr
 
 
@@ -284,3 +329,48 @@ def test_apply_circuit_bounds_support(monkeypatch):
         apply_circuit(ExactState.basis(13, 0), all_h(13))
     monkeypatch.setenv("TDO_MAX_QUBITS", "13")
     assert len(apply_circuit(ExactState.basis(13, 0), all_h(13)).support()) == 8192
+
+
+def test_apply_circuit_caps_its_lanes(monkeypatch):
+    # Lanes are the touched wires plus the wires on which the support varies.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "2")
+    state = ExactState(3, {0: ONE, 4: ONE})
+    x2 = Circuit(3, 0, (gate("x", 2),))
+    assert apply_circuit(state, x2) == ref.apply_circuit(state, x2)
+    with pytest.raises(TooWide):
+        apply_circuit(state, Circuit(3, 0, (gate("x", 1), gate("x", 2))))
+    with pytest.raises(TooWide):
+        apply_circuit(ExactState(3, {0: ONE, 7: ONE}), Circuit(3))
+
+
+def test_apply_circuit_memory_follows_the_lanes():
+    # 26 wires, 3 of them lanes: a layout over every wire would need 2^26 fields.
+    c = Circuit(26, 0, (gate("x", 3), gate("cx", 3, 17), gate("h", 25)))
+    script = (
+        "from tdo.circuit import Circuit, Gate\n"
+        "from tdo.sim import ExactState, apply_circuit\n"
+        f"print(apply_circuit(ExactState.basis(26, 5), Circuit(26, 0, {c.gates!r})))\n"
+    )
+    proc = _run_limited(script, 26)
+    want = ref.apply_circuit(ExactState.basis(26, 5), c)
+    assert (proc.returncode, proc.stdout) == (0, f"{want}\n"), proc.stderr
+
+
+def test_apply_circuit_checks_lanes_before_allocating():
+    # 27 lanes at a cap of 26: four 2^27-field integers would not fit in 256 MiB.
+    script = (
+        "from tdo.circuit import Circuit, Gate\n"
+        "from tdo.ring import ONE\n"
+        "from tdo.sim import ExactState, TooWide, apply_circuit\n"
+        "cases = [\n"
+        "    (ExactState.basis(27, 0), Circuit(27, 0, tuple(Gate('h', (q,)) for q in range(27)))),\n"
+        "    (ExactState(27, {0: ONE, (1 << 27) - 1: ONE}), Circuit(27)),\n"
+        "]\n"
+        "for state, c in cases:\n"
+        "    try:\n"
+        "        apply_circuit(state, c)\n"
+        "    except TooWide:\n"
+        "        print('TooWide')\n"
+    )
+    proc = _run_limited(script, 26)
+    assert (proc.returncode, proc.stdout) == (0, "TooWide\nTooWide\n"), proc.stderr

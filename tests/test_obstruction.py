@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdo.circuit import Circuit
+from tdo.circuit import Circuit, invert_gates
 from tdo.constructions import ccz_tdepth1
 from tdo.obstruction import (
     INAPPLICABLE,
@@ -25,7 +25,7 @@ from tdo.ring import INV_SQRT2, RealValue, RingScalar, ZERO, ratio_is_rational
 from tdo.sim import ExactMatrix, TooWide, induced_unitary
 
 import reference_sim as ref
-from conftest import gate, random_tdepth1_circuit
+from conftest import CLIFFORD_POOL, gate, random_gate, random_tdepth1_circuit
 
 THT = Circuit(1, 0, (gate("t", 0), gate("h", 0), gate("t", 0)))
 
@@ -191,6 +191,27 @@ def test_path_equals_direct_on_random_circuits(rng):
         assert e_plus == expectation_direct(c, "plus")
         if not e_plus.is_zero:
             assert ratio_is_rational(e_zero, e_plus)
+
+
+def test_path_equals_direct_on_dense_cap_wide_states(rng, monkeypatch):
+    # obstruct-dense's shape at the default cap: 1 main + 11 ancillas, each
+    # ancilla put in |+> first, so the states are dense over the 12 wires.
+    # Conjugating the T stage by W keeps X_0 from ending on an ancilla X or
+    # Y letter, which would make both expectations 0.
+    monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
+    width = 12
+    nonzero = 0
+    for _ in range(6):
+        w = [random_gate(rng, width, CLIFFORD_POOL) for _ in range(60)]
+        stage = [gate(rng.choice(["t", "tdg"]), q) for q in rng.sample(range(width), 6)]
+        spread = [gate("h", q) for q in range(1, width)]
+        c = Circuit(1, width - 1, tuple(spread + w + stage) + invert_gates(w))
+        split = split_tdepth1(c)
+        for phi in ("zero", "plus"):
+            value = expectation_direct(c, phi)
+            assert value == expectation_pauli_path(split, phi)
+            nonzero += not value.is_zero
+    assert nonzero
 
 
 def test_tht_conjugated_observable_identity():
