@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .circuit import GATES, T_KINDS, Circuit, Gate
-from .ring import INV_SQRT2, RealValue, RingScalar, ratio_is_rational
+from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
 from .sim import ExactState, TooWide, WidthMismatch, apply_circuit, width_cap
 
 NO_TDEPTH1 = "no-tdepth1-possible"
@@ -274,23 +274,15 @@ def expectation_direct(c: Circuit, phi: str) -> RealValue:
     n = c.width
     if n > width_cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
-    amps = apply_circuit(_initial_state(c, phi), c)._amps
-    k = max((v.k for v in amps.values()), default=0)
-    coeffs = {i: v._scaled(k - v.k) for i, v in amps.items()}
+    state = apply_circuit(_initial_state(c, phi), c)
     top = 1 << (n - 1)
-    # The sum of conj(u_i) * u_(i xor top) over sqrt2^(2k), where
-    # conj(a + b*w + c*w^2 + d*w^3) = a - d*w - c*w^2 - b*w^3.
-    x0 = x1 = x2 = x3 = 0
-    for index, (u0, u1, u2, u3) in coeffs.items():
-        partner = coeffs.get(index ^ top)
-        if partner is None:
+    total = ZERO
+    for index, amp in state._amps.items():
+        partner = state.amplitude(index ^ top)
+        if partner.is_zero:
             continue
-        v0, v1, v2, v3 = partner
-        x0 += u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
-        x1 += u0 * v1 + u1 * v2 + u2 * v3 - u3 * v0
-        x2 += u0 * v2 + u1 * v3 - u2 * v0 - u3 * v1
-        x3 += u0 * v3 - u1 * v0 - u2 * v1 - u3 * v2
-    return RingScalar(x0, x1, x2, x3, 2 * k).to_real()
+        total = total + amp.conjugate() * partner
+    return total.to_real()
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,15 @@ by sqrt2 for as long as every amplitude allows it. RingScalar values are
 built only when the run ends, and their constructor normalises each
 amplitude, so results are canonical whatever k the run held. Nothing rounds.
 
-State simulation (`apply_circuit`) is dense and runs in `packed`. Its
-lanes are the wires that gates touch plus the wires on which the input's
-support varies; every other wire keeps its one value, so memory follows
-the lanes, not the state's width. Each of the four coefficients is one big
-integer with a W-bit two's-complement field per basis index of the lanes,
-4 x 2^lanes x W bits in all. A gate is a handful of whole-integer
+State simulation (`apply_circuit`) runs over lanes: the wires that gates
+touch plus the wires on which the input's support varies; every other wire
+keeps its one value, so memory follows the lanes, not the state's width.
+Each h at most doubles the support, so when the input's support times
+2^(h count) stays under 2^lanes the state cannot fill its lanes, and the
+dict kernel `_run` runs it sparse, as it runs columns. Otherwise the state
+can turn dense, and it runs in `packed`: each of the four coefficients is
+one big integer with a W-bit two's-complement field per basis index of the
+lanes, 4 x 2^lanes x W bits in all. A gate is a handful of whole-integer
 operations with no carry between fields: a phase rotates the four integers
 inside a control mask, a controlled flip shifts the masked fields by
 2^p * W bits, and h adds and subtracts each field and its partner. The test
@@ -35,8 +38,8 @@ exactly.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
 per basis input, yielded in input order (`induced_columns`). With an h,
-each input runs alone through the dict kernel `_run`, whose state is a dict
-from basis index to coefficient tuple: a column is often a few amplitudes
+each input runs alone through `_run`, whose state is a dict from basis
+index to coefficient tuple: a column is often a few amplitudes
 over thousands of touched ancillas, which no dense layout could hold. An
 h-free circuit runs once for all inputs, bit-sliced: each wire is one
 2^n_main-bit integer whose bit x is the wire's value on main-register input
@@ -53,11 +56,11 @@ holding one column of each. Only `induced_unitary` densifies columns into
 an `ExactMatrix`.
 
 One width cap bounds the 2^n simulations, packed, bit-sliced or not: 12
-qubits for the lanes of a state simulation, checked before anything is
-allocated, and for the main register of an induced operator. On the column
-path the same cap bounds the support: a column that an h leaves with more
-than 2^cap nonzero amplitudes raises TooWide, so ancillas that gates touch
-cannot grow a column past what a full cap-wide state holds. The
+qubits for the lanes of a packed state, checked before anything is
+allocated, and for the main register of an induced operator. In `_run` the
+same cap bounds the support: a sparse state or column that an h leaves
+with more than 2^cap nonzero amplitudes raises TooWide, so wires that
+gates touch cannot grow it past what a full cap-wide state holds. The
 TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
 than MAX_CAP, overrides it; `width_cap()` reads it on each use.
 """
@@ -209,7 +212,7 @@ def _halved(amps: dict[int, tuple]) -> dict[int, tuple] | None:
 def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int, tuple]:
     """One compiled gate on an n-qubit column of shared-k coefficient tuples.
 
-    The column kernel's step; state simulation packs its fields instead.
+    The dict kernel's step, for columns and sparse states.
     Returns the new amplitudes; after an h step they are over a denominator
     one power of sqrt2 higher. The masks already encode the width n, which
     stays in the signature because perfbench/tracing.py wraps this function
@@ -267,7 +270,7 @@ class ExactState:
 
 
 def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tuple[dict, int]:
-    """Compiled steps over one sparse column of shared-k coefficient tuples.
+    """Compiled steps over one sparse state or column of shared-k coefficient tuples.
 
     Returns the new amplitudes and k. TooWide is raised once an h leaves
     more than 2^cap nonzero amplitudes.
@@ -287,9 +290,13 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     """Run the gate list over the state; exact amplitudes, new state.
 
     Only the lanes are simulated: the wires that gates touch or on which the
-    state's support varies. Every other wire keeps its one value. TooWide is
-    raised before anything is allocated when there are more lanes than
-    width_cap().
+    state's support varies. Every other wire keeps its one value. Each h at
+    most doubles the support, so the state can fill its 2^lanes fields only
+    when its support times 2^(h count) reaches that: then the packed kernel
+    runs, and TooWide is raised before anything is allocated when there are
+    more lanes than width_cap(). Otherwise the support stays sparse and the
+    dict kernel runs it, raising TooWide once an h leaves more than
+    2^width_cap() nonzero amplitudes.
     """
     if state.n != c.width:
         raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
@@ -305,10 +312,13 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
         varying ^= lowest
     lanes = sorted(wires)
     m = len(lanes)
-    cap = width_cap()
-    if m > cap:
-        raise TooWide(f"state simulation over {m} wires exceeds the width cap of {cap}")
     # Lane j is field-index bit m - 1 - j, so fields keep the basis order.
+    bit = {q: 1 << (m - 1 - j) for j, q in enumerate(lanes)}
+    steps = _compile(c.gates, bit)
+    cap = width_cap()
+    dense = len(amps) << sum(1 for h, _ in steps if h) >= 1 << m
+    if dense and m > cap:
+        raise TooWide(f"state simulation over {m} wires exceeds the width cap of {cap}")
     shifts = [n - 1 - q for q in lanes]
     k = max((v.k for v in amps.values()), default=0)
     fields = {}
@@ -317,8 +327,10 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
         for s in shifts:
             f = f << 1 | i >> s & 1
         fields[f] = v._scaled(k - v.k)
-    bit = {q: 1 << (m - 1 - j) for j, q in enumerate(lanes)}
-    fields, k = run_packed(fields, k, _compile(c.gates, bit), m)
+    if dense:
+        fields, k = run_packed(fields, k, steps, m)
+    else:
+        fields, k = _run(fields, k, steps, m, cap)
     constant = first & ~sum(1 << s for s in shifts)
     out = {}
     for f, v in fields.items():

@@ -639,6 +639,25 @@ def test_obstruct_too_wide_exits_1(tmp_path):
     assert "cap" in report_of(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("head, tail, e_zero", [
+    ("", "", "0 + 0*sqrt2"),
+    ("h 1\n", "h 0\n", "1 + 0*sqrt2"),
+])
+def test_obstruct_keeps_sparse_states_sparse(tmp_path, monkeypatch, head, tail, e_zero):
+    # A cx chain over 24 wires at a cap of 24: the states have 2 or 4
+    # amplitudes, so they must not cost the 2^24 fields of a dense layout.
+    f = tmp_path / "chain.tdo"
+    cx = "".join(f"cx {q - 1} {q}\n" for q in range(1 + bool(head), 24))
+    f.write_text(f"qubits 1\nancillas 23\n{head}{cx}t 23\n{tail}")
+    monkeypatch.setenv("TDO_MAX_QUBITS", "24")
+    code, out, err = run_limited(["obstruct", str(f)], 1 << 28)
+    assert code == 0, err
+    assert json.loads(out) == {
+        "conclusion": "inapplicable-e-plus-zero", "e_plus": "0 + 0*sqrt2",
+        "e_zero": e_zero, "ratio_rational": None,
+    }
+
+
 def test_width_cap_env_override(tmp_path, monkeypatch):
     f = tmp_path / "wide.tdo"
     f.write_text("qubits 1\nancillas 12\n")

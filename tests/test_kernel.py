@@ -177,9 +177,10 @@ def circuits_on_some_wires(draw):
     Circuit(2, 0, (gate("h", 1), gate("h", 0), gate("h", 1))),
     ExactState(2, {0: RingScalar(8190, 8190, -1, 8190), 2: RingScalar(8190, 8190, 8190, 8190)}),
 ))
-# The support varies on wire 0, which no gate touches.
+# The support varies on wire 0, which no gate touches; the two h gates
+# can spread it over all three lanes, so the packed kernel runs it.
 @example((
-    Circuit(3, 0, (gate("h", 2), gate("cx", 2, 1), gate("t", 1))),
+    Circuit(3, 0, (gate("h", 2), gate("h", 1), gate("cx", 2, 1), gate("t", 1))),
     ExactState(3, {0: ONE, 4: RingScalar(0, 1 << 100, 0, 0, 3)}),
 ))
 def test_apply_circuit_matches_reference_on_wide_coefficients(case):
@@ -331,21 +332,40 @@ def test_apply_circuit_bounds_support(monkeypatch):
     assert len(apply_circuit(ExactState.basis(13, 0), all_h(13)).support()) == 8192
 
 
-def test_apply_circuit_caps_its_lanes(monkeypatch):
+def test_apply_circuit_caps_the_lanes_it_can_fill(monkeypatch):
     # Lanes are the touched wires plus the wires on which the support varies.
+    # A state whose h gates can spread it over every lane must fit the cap;
+    # one they cannot spread that far answers past it, as its support allows.
     monkeypatch.setenv("TDO_MAX_QUBITS", "2")
     state = ExactState(3, {0: ONE, 4: ONE})
-    x2 = Circuit(3, 0, (gate("x", 2),))
-    assert apply_circuit(state, x2) == ref.apply_circuit(state, x2)
+    for c in [
+        Circuit(3, 0, (gate("h", 2),)),
+        Circuit(3, 0, (gate("x", 1), gate("x", 2))),
+        Circuit(3, 0, (gate("h", 1), gate("cx", 1, 2), gate("t", 2))),
+    ]:
+        assert apply_circuit(state, c) == ref.apply_circuit(state, c)
     with pytest.raises(TooWide):
-        apply_circuit(state, Circuit(3, 0, (gate("x", 1), gate("x", 2))))
-    with pytest.raises(TooWide):
-        apply_circuit(ExactState(3, {0: ONE, 7: ONE}), Circuit(3))
+        apply_circuit(state, Circuit(3, 0, (gate("h", 1), gate("h", 2))))
+    spread = ExactState(3, {0: ONE, 7: ONE})
+    assert apply_circuit(spread, Circuit(3)) == spread
+
+
+def test_apply_circuit_keeps_sparse_states_sparse(monkeypatch):
+    # 20 lanes at the default cap: the support never exceeds 4 amplitudes.
+    monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
+    chain = tuple(gate("cx", q - 1, q) for q in range(1, 20))
+    for state in [ExactState.basis(20, 1 << 19), ExactState(20, {0: ONE, 1 << 19: ONE})]:
+        for c in [
+            Circuit(20, 0, chain),
+            Circuit(20, 0, (gate("h", 0), *chain, gate("t", 19), gate("h", 5))),
+        ]:
+            assert apply_circuit(state, c) == ref.apply_circuit(state, c)
 
 
 def test_apply_circuit_memory_follows_the_lanes():
-    # 26 wires, 3 of them lanes: a layout over every wire would need 2^26 fields.
-    c = Circuit(26, 0, (gate("x", 3), gate("cx", 3, 17), gate("h", 25)))
+    # 26 wires, 3 of them lanes, which the h gates fill: a packed layout over
+    # every wire would need 2^26 fields.
+    c = Circuit(26, 0, (gate("x", 3), gate("h", 3), gate("h", 17), gate("cx", 3, 17), gate("h", 25)))
     script = (
         "from tdo.circuit import Circuit, Gate\n"
         "from tdo.sim import ExactState, apply_circuit\n"
@@ -357,14 +377,17 @@ def test_apply_circuit_memory_follows_the_lanes():
 
 
 def test_apply_circuit_checks_lanes_before_allocating():
-    # 27 lanes at a cap of 26: four 2^27-field integers would not fit in 256 MiB.
+    # 27 lanes that the h gates can fill, at a cap of 26: four 2^27-field
+    # integers would not fit in 256 MiB. In the second case one lane comes
+    # only from the support.
     script = (
         "from tdo.circuit import Circuit, Gate\n"
         "from tdo.ring import ONE\n"
         "from tdo.sim import ExactState, TooWide, apply_circuit\n"
         "cases = [\n"
         "    (ExactState.basis(27, 0), Circuit(27, 0, tuple(Gate('h', (q,)) for q in range(27)))),\n"
-        "    (ExactState(27, {0: ONE, (1 << 27) - 1: ONE}), Circuit(27)),\n"
+        "    (ExactState(27, {0: ONE, 1 << 26: ONE}),\n"
+        "     Circuit(27, 0, tuple(Gate('h', (q,)) for q in range(1, 27)))),\n"
         "]\n"
         "for state, c in cases:\n"
         "    try:\n"
