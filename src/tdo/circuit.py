@@ -25,14 +25,18 @@ depth and gate count like any other gate.
 
 Large circuits repeat a few distinct gates many times. A `Gate` is an
 immutable value, and work that depends only on one is done once per value.
+
+The simulation width cap (`width_cap`, read from TDO_MAX_QUBITS) lives here
+rather than in `sim`, because the command line checks it for every command
+and most commands never load the simulator.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import defaultdict, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -66,8 +70,33 @@ def decimal_too_long(token: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class GateKind:
+DEFAULT_CAP = 12
+# Tied to a 1 GiB address space: there `verify` of `qubits N`/`t 0`/`cx 0 1`/
+# `ccx 0 1 2` against itself works up to N = 26, not 27, so a larger host gives up caps
+# it could run. It bounds memory, not time: h on 26 touched ancillas runs about
+# 13 s before 1 GiB ends it in one "out of memory" line, longer with no limit.
+MAX_CAP = 26
+
+
+class BadWidthCap(DomainError, ValueError):
+    """TDO_MAX_QUBITS is not a string of ASCII digits, or is above MAX_CAP."""
+
+
+def width_cap() -> int:
+    """The simulation width cap, read from TDO_MAX_QUBITS on every call."""
+    env = os.environ.get("TDO_MAX_QUBITS")
+    if not env:
+        return DEFAULT_CAP
+    if not is_ascii_decimal(env):
+        raise BadWidthCap(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
+    if too_long := decimal_too_long(env):
+        raise BadWidthCap(f"TDO_MAX_QUBITS {too_long}")
+    if int(env) > MAX_CAP:
+        raise BadWidthCap(f"TDO_MAX_QUBITS must be at most {MAX_CAP}, got {env}")
+    return int(env)
+
+
+class GateKind(namedtuple("GateKind", "arity inverse is_t is_clifford action")):
     """Everything the library knows about one gate kind.
 
     ``action`` describes a monomial gate (one that sends each basis state
@@ -79,11 +108,7 @@ class GateKind:
     gate that is not monomial.
     """
 
-    arity: int
-    inverse: str
-    is_t: bool
-    is_clifford: bool
-    action: tuple[ActionStep, ...] | None
+    __slots__ = ()
 
 
 _CX: ActionStep = ((0,), (1,), 0)
@@ -126,8 +151,7 @@ class Gate(namedtuple("Gate", "kind qubits")):
         return " ".join((self.kind, *map(str, self.qubits)))
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(namedtuple("Circuit", "n_main n_anc gates")):
     """An ordered gate list over n_main working wires and n_anc ancillas.
 
     Ancillas occupy indices n_main .. n_main+n_anc-1. Instances are
@@ -139,16 +163,14 @@ class Circuit:
     occurrence, so the gate reported is the first bad one in the list.
     """
 
-    n_main: int
-    n_anc: int = 0
-    gates: tuple[Gate, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_main < 0 or self.n_anc < 0:
+    def __new__(cls, n_main: int, n_anc: int = 0, gates: Sequence[Gate] = ()) -> Circuit:
+        gates = tuple(gates)
+        if n_main < 0 or n_anc < 0:
             raise ValueError("qubit counts must be non-negative")
-        width = self.n_main + self.n_anc
-        for gate in dict.fromkeys(self.gates):
+        width = n_main + n_anc
+        for gate in dict.fromkeys(gates):
             spec = GATES.get(gate.kind)
             if spec is None:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
@@ -165,21 +187,17 @@ class Circuit:
                         f"gate '{gate}' uses qubit {q}, but the circuit has "
                         f"width {width}"
                     )
+        return super().__new__(cls, n_main, n_anc, gates)
 
     @property
     def width(self) -> int:
         return self.n_main + self.n_anc
 
 
-@dataclass(frozen=True)
-class Metrics:
-    t_count: int
-    t_depth_as_written: int
-    t_depth_scheduled: int
-    depth: int
-    gate_count: int
-    n_main: int
-    n_anc: int
+class Metrics(namedtuple(
+    "Metrics", "t_count t_depth_as_written t_depth_scheduled depth gate_count n_main n_anc"
+)):
+    __slots__ = ()
 
 
 def t_count(c: Circuit) -> int:

@@ -8,6 +8,10 @@ command line is refused before its subcommand is known. Exit status:
 message and its own fields (a command line argparse refuses among them),
 and for running out of memory; 2 only for a file that cannot be read.
 Output is byte-identical for identical inputs.
+
+Each command loads only the modules it runs: the simulator, the ring and
+the obstruction test are imported when `verify` or `obstruct` first calls
+into them.
 """
 
 from __future__ import annotations
@@ -15,19 +19,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from .circuit import Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal, metrics, t_depth_scheduled
+from .circuit import (
+    Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal, metrics, t_depth_scheduled, width_cap,
+)
 from .constructions import CONSTRUCTIONS, build
-from .obstruction import obstruction_verdict
 from .rewriter import rewrite_budgeted
-from .ring import render_real
-from .sim import equivalence_phase, width_cap
 from .text import SourceError, emit, parse
 
 _BUILTIN_CIRCUITS = {
     "tht": Circuit(1, 0, (Gate("t", (0,)), Gate("h", (0,)), Gate("t", (0,)))),
 }
+
+
+# Entry points into the layers that verify and obstruct load on first call.
+# They stay names of this module, where perfbench/tracing.py wraps them.
+def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
+    from .sim import equivalence_phase
+
+    return equivalence_phase(c1, c2)
+
+
+def obstruction_verdict(c: Circuit):
+    from .obstruction import obstruction_verdict
+
+    return obstruction_verdict(c)
 
 
 class _UsageError(DomainError):
@@ -80,7 +96,7 @@ def _cmd_parse(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_metrics(args: argparse.Namespace) -> tuple[dict, str | None]:
     c = _read_circuit(args.file)
-    payload = asdict(metrics(c))
+    payload = metrics(c)._asdict()
     if args.json:
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
@@ -92,7 +108,7 @@ def _cmd_emit(args: argparse.Namespace) -> tuple[dict, str | None]:
     c = build(args.name, controls=args.controls, use_ancilla=not args.no_ancilla)
     payload: dict = {"name": args.name, "n_main": c.n_main, "n_anc": c.n_anc}
     if args.json:
-        payload["metrics"] = asdict(metrics(c))
+        payload["metrics"] = metrics(c)._asdict()
     return payload, emit(c)
 
 
@@ -123,6 +139,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .ring import render_real
+
     if args.builtin is not None:
         c = _BUILTIN_CIRCUITS[args.builtin]
     else:

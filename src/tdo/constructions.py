@@ -18,8 +18,6 @@ from collections import deque
 from collections.abc import Callable
 
 from .circuit import Circuit, DomainError, Gate, invert_gates
-from .ring import ONE
-from .sim import induced_columns
 
 # The most controls multi_controlled_x builds, at about 28 gates each.
 # Emitting 10000 stays well inside a 1 GiB address space; 10^8 does not.
@@ -140,6 +138,10 @@ def cc_minus_ix(use_ancilla: bool = True) -> Circuit:
 
 def _check_controlled(g: Circuit) -> None:
     """Require the induced operator to be identity when qubit 0 is |0>."""
+    # Only add-control and controlled-t simulate; other emits load neither module.
+    from .ring import ONE
+    from .sim import induced_columns
+
     if g.n_main < 1:
         raise NotAControlledCircuit("inner circuit has no main qubits")
     columns = induced_columns(g)

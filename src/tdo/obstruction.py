@@ -20,12 +20,12 @@ The ratio test is one-sided: a rational ratio certifies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
-from .circuit import GATES, T_KINDS, Circuit, Gate
+from .circuit import GATES, T_KINDS, Circuit, Gate, width_cap
 from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
-from .sim import ExactState, TooWide, WidthMismatch, apply_circuit, width_cap
+from .sim import ExactState, TooWide, WidthMismatch, apply_circuit
 
 NO_TDEPTH1 = "no-tdepth1-possible"
 INCONCLUSIVE = "inconclusive"
@@ -46,18 +46,17 @@ class NotTDepthOneShape(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(namedtuple("PauliString", "sign letters")):
     """A signed tensor product of I/X/Y/Z letters, one per qubit."""
 
-    sign: int
-    letters: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
+    def __new__(cls, sign: int, letters: tuple[str, ...]) -> PauliString:
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if any(letter not in _LETTERS for letter in self.letters):
+        if any(letter not in _LETTERS for letter in letters):
             raise ValueError("letters must be I, X, Y, or Z")
+        return super().__new__(cls, sign, letters)
 
     @classmethod
     def x_on(cls, qubit: int, n: int) -> PauliString:
@@ -66,25 +65,21 @@ class PauliString:
         return cls(1, tuple(letters))
 
 
-@dataclass(frozen=True)
-class PauliSum:
+class PauliSum(namedtuple("PauliSum", "k terms")):
     """(1/sqrt2)^k times a list of signed Pauli strings, duplicates kept."""
 
-    k: int
-    terms: tuple[PauliString, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SplitCircuit:
+class SplitCircuit(namedtuple("SplitCircuit", "pre_clifford t_layer post_clifford")):
     """A circuit cut as pre-Clifford, one T stage, post-Clifford.
 
     ``pre_clifford`` is applied first and ``post_clifford`` last; the
     observable is conjugated through them in the opposite order.
+    ``t_layer`` is the stage as sorted (qubit, kind) pairs.
     """
 
-    pre_clifford: Circuit
-    t_layer: tuple[tuple[int, str], ...]
-    post_clifford: Circuit
+    __slots__ = ()
 
 
 def split_tdepth1(c: Circuit) -> SplitCircuit:
@@ -285,14 +280,14 @@ def expectation_direct(c: Circuit, phi: str) -> RealValue:
     return total.to_real()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of the rationality test on a single-wire operator."""
+class Verdict(namedtuple("Verdict", "e_zero e_plus ratio_rational conclusion")):
+    """Outcome of the rationality test on a single-wire operator.
 
-    e_zero: RealValue
-    e_plus: RealValue
-    ratio_rational: bool | None
-    conclusion: str
+    ``ratio_rational`` is None when e_plus is zero; ``conclusion`` is one
+    of NO_TDEPTH1, INCONCLUSIVE and INAPPLICABLE.
+    """
+
+    __slots__ = ()
 
 
 def obstruction_verdict(c: Circuit) -> Verdict:

@@ -62,25 +62,20 @@ same cap bounds the support: a sparse state or column that an h leaves
 with more than 2^cap nonzero amplitudes raises TooWide, so wires that
 gates touch cannot grow it past what a full cap-wide state holds. The
 TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
-than MAX_CAP, overrides it; `width_cap()` reads it on each use.
+than MAX_CAP, overrides it; `circuit.width_cap()` reads it on each use, and
+this module re-exports it with DEFAULT_CAP, MAX_CAP and BadWidthCap.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
+# The width cap lives in `circuit`, which every command loads; sim keeps its names.
+from .circuit import DEFAULT_CAP, MAX_CAP, BadWidthCap, width_cap  # noqa: F401
+from .circuit import GATES, Circuit, DomainError, Gate
 from .packed import run_packed, start_pattern
 from .ring import ONE, ROTATE, ZERO, RingScalar, omega_pow
-
-DEFAULT_CAP = 12
-# Tied to a 1 GiB address space: there `verify` of `qubits N`/`t 0`/`cx 0 1`/
-# `ccx 0 1 2` against itself works up to N = 26, not 27, so a larger host gives up caps
-# it could run. It bounds memory, not time: h on 26 touched ancillas runs about
-# 13 s before 1 GiB ends it in one "out of memory" line, longer with no limit.
-MAX_CAP = 26
 
 
 class WidthMismatch(DomainError, ValueError):
@@ -91,10 +86,6 @@ class TooWide(DomainError, ValueError):
     """The request exceeds the configured simulation width cap."""
 
 
-class BadWidthCap(DomainError, ValueError):
-    """TDO_MAX_QUBITS is not a string of ASCII digits, or is above MAX_CAP."""
-
-
 class AncillaContractViolated(DomainError):
     """Some basis input leaves an ancilla nonzero or entangled."""
 
@@ -103,20 +94,6 @@ class AncillaContractViolated(DomainError):
             f"ancillas not restored to |0> for main-register basis input {basis_input}"
         )
         self.basis_input = basis_input
-
-
-def width_cap() -> int:
-    """The width cap, read from TDO_MAX_QUBITS on every call."""
-    env = os.environ.get("TDO_MAX_QUBITS")
-    if not env:
-        return DEFAULT_CAP
-    if not is_ascii_decimal(env):
-        raise BadWidthCap(f"TDO_MAX_QUBITS must be an integer, got {env!r}")
-    if too_long := decimal_too_long(env):
-        raise BadWidthCap(f"TDO_MAX_QUBITS {too_long}")
-    if int(env) > MAX_CAP:
-        raise BadWidthCap(f"TDO_MAX_QUBITS must be at most {MAX_CAP}, got {env}")
-    return int(env)
 
 
 # A compiled gate is (h bit, moves): a nonzero h bit is a Hadamard on that

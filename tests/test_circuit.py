@@ -55,6 +55,21 @@ def test_circuit_validation():
     Circuit(1, 1, (gate("cx", 0, 1),))
 
 
+def test_circuit_is_an_immutable_value():
+    gates = [gate("t", 0), gate("cx", 0, 1)]
+    c = Circuit(2, 0, gates)
+    assert c.gates == tuple(gates) and type(c.gates) is tuple
+    assert Circuit(n_main=2, gates=gates) == c
+    same = Circuit(2, 0, tuple(gates))
+    assert same == c and hash(same) == hash(c)
+    assert Circuit(2, 1, gates) != c
+    with pytest.raises(AttributeError):
+        c.n_main = 3
+    with pytest.raises(AttributeError):
+        c.label = "x"
+    assert repr(Circuit(1)) == "Circuit(n_main=1, n_anc=0, gates=())"
+
+
 def test_t_count_examples():
     assert t_count(toffoli_nc()) == 7
     assert t_count(Circuit(1)) == 0

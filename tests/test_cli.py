@@ -225,6 +225,20 @@ def test_refusal_line_is_pinned(tmp_path, monkeypatch, argv, code, line):
     assert run(argv) == (code, "", line + "\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["metrics", str(FIXTURES / "toffoli-nc.tdo"), "--json"],
+     '{"command": "metrics", "payload": {"depth": 12, "gate_count": 16, "n_anc": 0, "n_main": 3, '
+     '"t_count": 7, "t_depth_as_written": 6, "t_depth_scheduled": 5}, "status": "ok"}'),
+    (["emit", "toffoli-tdepth1", "--json"],
+     '{"command": "emit", "payload": {"metrics": {"depth": 7, "gate_count": 25, "n_anc": 4, "n_main": 3, '
+     '"t_count": 7, "t_depth_as_written": 1, "t_depth_scheduled": 1}, "n_anc": 4, "n_main": 3, '
+     '"name": "toffoli-tdepth1"}, "status": "ok"}'),
+], ids=["metrics", "emit"])
+def test_metrics_report_line_is_pinned(argv, line):
+    code, _, err = run(argv)
+    assert (code, err) == (0, line + "\n")
+
+
 def test_help_is_unchanged(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["emit", "--help"])
@@ -671,3 +685,42 @@ def test_byte_identical_reruns():
     first = run(["emit", "multi-controlled-x", "--controls", "3", "--json"])
     second = run(["emit", "multi-controlled-x", "--controls", "3", "--json"])
     assert first == second
+
+
+# Runs in a fresh interpreter, because this one has loaded every module.
+# Modules the interpreter loaded before `import tdo.cli` do not count.
+_FOOTPRINT = """
+import io, json, sys
+before = set(sys.modules)
+import tdo
+added = {"import": sorted(set(sys.modules) - before)}
+import tdo.cli
+for argv in json.loads(sys.argv[1]):
+    code = tdo.cli.main(argv, io.StringIO(), io.StringIO())
+    assert code == 0, argv
+    added[argv[0]] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    f = tmp_path / "c.tdo"
+    f.write_text("qubits 2\nt 0\ncx 0 1\nt 1\n")
+    commands = [["parse", str(f)], ["metrics", str(f)],
+                ["emit", "multi-controlled-x", "--controls", "3"], ["rewrite", str(f)],
+                ["verify", str(f), str(f)], ["obstruct", "--builtin", "tht"]]
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    # The commands run in this order, so each list includes the ones before it.
+    assert [m for m in added["import"] if m.startswith("tdo")] == ["tdo"]
+    simulation = {"tdo.sim", "tdo.packed", "tdo.ring", "tdo.obstruction"}
+    for command in ("parse", "metrics", "emit", "rewrite"):
+        assert not simulation & set(added[command]), command
+    assert "tdo.sim" in added["verify"] and "tdo.obstruction" not in added["verify"]
+    assert "tdo.obstruction" in added["obstruct"]
+    for command, modules in added.items():
+        assert "dataclasses" not in modules, command

@@ -38,3 +38,21 @@ def test_benchmark_patch_sites_exist(pass_name):
     except tracing.HarnessError as exc:
         pytest.fail(f"a traced benchmark run would fail: {exc}")
     assert tdo.sim.apply_circuit is original
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["verify", "{f}", "{f}"], ["sim.equivalence_phase"]),
+    (["obstruct", "--builtin", "tht"], ["obstruction.obstruction_verdict"]),
+    (["rewrite", "{f}"], ["rewriter.rewrite_budgeted", "circuit.t_depth_scheduled"]),
+    (["emit", "toffoli-tdepth1", "--json"], ["constructions.build", "circuit.metrics"]),
+], ids=["verify", "obstruct", "rewrite", "emit"])
+def test_each_command_records_its_layer_span(tmp_path, argv, spans):
+    # A command that imported a layer's function itself, bypassing the name in
+    # tdo.cli that tracing wraps, would leave the span at zero with no HarnessError.
+    f = tmp_path / "c.tdo"
+    f.write_text("qubits 2\nt 0\ncx 0 1\n")
+    recorder = _tracing().SpanRecorder()
+    with recorder.installed():
+        code = tdo.cli.main([arg.format(f=f) for arg in argv], io.StringIO(), io.StringIO())
+    assert code == 0
+    assert {span: recorder.calls[span] for span in spans} == dict.fromkeys(spans, 1)
