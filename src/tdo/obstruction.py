@@ -265,18 +265,22 @@ def _initial_state(c: Circuit, phi: str) -> ExactState:
 
 
 def expectation_direct(c: Circuit, phi: str) -> RealValue:
-    """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation."""
+    """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation.
+
+    TooWide is raised before anything is simulated when the declared width
+    (main plus ancillas) is over the width cap, even if the gates touch
+    only a few wires.
+    """
     n = c.width
     if n > width_cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
-    state = apply_circuit(_initial_state(c, phi), c)
+    amps = apply_circuit(_initial_state(c, phi), c).amps
     top = 1 << (n - 1)
     total = ZERO
-    for index, amp in state._amps.items():
-        partner = state.amplitude(index ^ top)
-        if partner.is_zero:
-            continue
-        total = total + amp.conjugate() * partner
+    for index, amp in amps.items():
+        partner = amps.get(index ^ top)
+        if partner is not None:
+            total = total + amp.conjugate() * partner
     return total.to_real()
 
 

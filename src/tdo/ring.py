@@ -20,7 +20,9 @@ expectation-value ratios (p1 + q1*sqrt2)/(p2 + q2*sqrt2).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from numbers import Rational
 
 
 class NotReal(Exception):
@@ -206,25 +208,23 @@ def omega_pow(e: int) -> RingScalar:
     return RingScalar(*coeffs)
 
 
-class RealValue:
+class RealValue(namedtuple("RealValue", "p q")):
     """Exact real number p + q*sqrt2 with dyadic rational p and q.
 
-    The value is rational if and only if q = 0.
+    The value is rational if and only if q = 0. Each part must be an exact
+    rational (an int or a Fraction, say); a float raises TypeError.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p: Fraction | int, q: Fraction | int = 0) -> None:
-        p = Fraction(p)
-        q = Fraction(q)
+    def __new__(cls, p: Rational, q: Rational = 0) -> RealValue:
+        if not (isinstance(p, Rational) and isinstance(q, Rational)):
+            raise TypeError(f"RealValue parts must be exact rationals, not {p!r} and {q!r}")
+        p, q = Fraction(p), Fraction(q)
         for part in (p, q):
             if part.denominator & (part.denominator - 1):
                 raise ValueError(f"{part} is not dyadic")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RealValue is immutable")
+        return super().__new__(cls, p, q)
 
     @property
     def is_zero(self) -> bool:
@@ -233,14 +233,6 @@ class RealValue:
     @property
     def is_rational(self) -> bool:
         return self.q == 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RealValue):
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
 
     def __repr__(self) -> str:
         return f"RealValue({self.p!r}, {self.q!r})"

@@ -68,7 +68,7 @@ this module re-exports it with DEFAULT_CAP, MAX_CAP and BadWidthCap.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 # The width cap lives in `circuit`, which every command loads; sim keeps its names.
@@ -203,46 +203,38 @@ def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int,
     return amps
 
 
-class ExactState:
+class ExactState(namedtuple("ExactState", "n amps")):
     """An n-qubit state vector with exact amplitudes.
 
-    Equality is exact; amplitudes that cancel are dropped, so two states
-    are equal iff they are the same vector.
+    ``amps`` maps each basis index to its nonzero amplitude; amplitudes
+    that cancel are dropped, so two states are equal iff they are the same
+    vector.
     """
 
-    __slots__ = ("n", "_amps")
+    __slots__ = ()
 
-    def __init__(self, n: int, amplitudes: Mapping[int, RingScalar]) -> None:
-        amps = {i: v for i, v in amplitudes.items() if v}
+    def __new__(cls, n: int, amps: Mapping[int, RingScalar]) -> ExactState:
+        amps = {i: v for i, v in amps.items() if v}
         for i in amps:
             if not 0 <= i < 1 << n:
                 raise ValueError(f"basis index {i} out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_amps", amps)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExactState is immutable")
+        return super().__new__(cls, n, amps)
 
     @classmethod
     def basis(cls, n: int, index: int) -> ExactState:
         return cls(n, {index: ONE})
 
     def amplitude(self, index: int) -> RingScalar:
-        return self._amps.get(index, ZERO)
+        return self.amps.get(index, ZERO)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._amps))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExactState):
-            return self.n == other.n and self._amps == other._amps
-        return NotImplemented
+        return tuple(sorted(self.amps))
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self._amps.items()))))
+        return hash((self.n, tuple(sorted(self.amps.items()))))
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{i}: {v}" for i, v in sorted(self._amps.items()))
+        inside = ", ".join(f"{i}: {v}" for i, v in sorted(self.amps.items()))
         return f"ExactState({self.n}, {{{inside}}})"
 
 
@@ -277,7 +269,7 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     """
     if state.n != c.width:
         raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
-    n, amps = state.n, state._amps
+    n, amps = state.n, state.amps
     first = next(iter(amps), 0)
     varying = 0
     for i in amps:
@@ -318,22 +310,20 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     return ExactState(n, out)
 
 
-class ExactMatrix:
+class ExactMatrix(namedtuple("ExactMatrix", "rows")):
     """A dense square matrix of ring scalars."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ()
 
-    def __init__(self, rows: Sequence[Sequence[RingScalar]]) -> None:
-        dim = len(rows)
-        frozen = tuple(tuple(row) for row in rows)
-        for row in frozen:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", frozen)
+    def __new__(cls, rows: Sequence[Sequence[RingScalar]]) -> ExactMatrix:
+        rows = tuple(tuple(row) for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        return super().__new__(cls, rows)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExactMatrix is immutable")
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def from_columns(cls, dim: int, columns: Iterable[Mapping[int, RingScalar]]) -> ExactMatrix:
@@ -345,14 +335,6 @@ class ExactMatrix:
 
     def scaled(self, scalar: RingScalar) -> ExactMatrix:
         return ExactMatrix([[scalar * v for v in row] for row in self.rows])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExactMatrix):
-            return self.dim == other.dim and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"ExactMatrix(dim={self.dim})"

@@ -154,6 +154,14 @@ def test_real_value_rejects_non_dyadic():
         RealValue(Fraction(1, 3))
 
 
+def test_real_value_rejects_float_parts():
+    # Every float is dyadic, so the dyadic check alone would let a rounded 0.1 through.
+    for p, q in ((0.1, 0), (0, 0.5), (1.0, 0)):
+        with pytest.raises(TypeError):
+            RealValue(p, q)
+    assert render_real(RealValue(1, Fraction(1, 4))) == "1 + 1/2^2*sqrt2"
+
+
 def test_renderings():
     assert render_ring(OMEGA) == "(0 + 1*w + 0*w^2 + 0*w^3)/sqrt2^0"
     assert render_ring(INV_SQRT2) == "(1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^1"

@@ -1,11 +1,14 @@
 """Exact simulator: gate matrices, state evolution, contracts, oracles."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from tdo.circuit import GATES, Circuit
-from tdo.ring import IM, INV_SQRT2, OMEGA, ONE, RingScalar, omega_pow
+from tdo.ring import IM, INV_SQRT2, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
 from tdo.sim import (
     AncillaContractViolated,
     ExactMatrix,
@@ -55,6 +58,30 @@ def test_apply_x_and_t():
 def test_width_mismatch():
     with pytest.raises(WidthMismatch):
         apply_circuit(ExactState.basis(1, 0), Circuit(2))
+
+
+@pytest.mark.parametrize("value, same, field, text", [
+    (ExactState.basis(2, 1), ExactState(2, {0: ZERO, 1: RingScalar(2, 0, 0, 0, 2)}), "n",
+     "ExactState(2, {1: (1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^0})"),
+    (ExactState.basis(2, 1), ExactState(2, {1: ONE}), "amps",
+     "ExactState(2, {1: (1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^0})"),
+    (ExactMatrix([[ONE, ZERO], [ZERO, OMEGA]]), ExactMatrix.from_columns(2, [{0: ONE}, {1: OMEGA}]),
+     "rows", "ExactMatrix(dim=2)"),
+    (RealValue(Fraction(1, 2), 3), RealValue(Fraction(2, 4), Fraction(3)), "p",
+     "RealValue(Fraction(1, 2), Fraction(3, 1))"),
+], ids=["state-n", "state-amps", "matrix", "real"])
+def test_exact_values_copy_hash_and_stay_immutable(value, same, field, text):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert copied == value
+        assert type(copied) is type(value)
+        assert hash(copied) == hash(value)
+    assert same == value
+    assert hash(same) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
 
 
 def test_parity_fanout_network_wire_labels():
