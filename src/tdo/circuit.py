@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import defaultdict, namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -188,6 +188,10 @@ class Circuit(namedtuple("Circuit", "n_main n_anc gates")):
                         f"width {width}"
                     )
         return super().__new__(cls, n_main, n_anc, gates)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Circuit:
+        return cls(*fields)  # _replace calls this, so both check like the constructor
 
     @property
     def width(self) -> int:

@@ -21,6 +21,7 @@ The ratio test is one-sided: a rational ratio certifies nothing.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import product
 
 from .circuit import GATES, T_KINDS, Circuit, Gate, width_cap
@@ -57,6 +58,10 @@ class PauliString(namedtuple("PauliString", "sign letters")):
         if any(letter not in _LETTERS for letter in letters):
             raise ValueError("letters must be I, X, Y, or Z")
         return super().__new__(cls, sign, letters)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> PauliString:
+        return cls(*fields)  # _replace calls this, so both check like the constructor
 
     @classmethod
     def x_on(cls, qubit: int, n: int) -> PauliString:

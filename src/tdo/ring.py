@@ -21,6 +21,7 @@ expectation-value ratios (p1 + q1*sqrt2)/(p2 + q2*sqrt2).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from numbers import Rational
 
@@ -124,13 +125,7 @@ class RingScalar:
         return (-self) + other
 
     def __neg__(self) -> RingScalar:
-        out = RingScalar.__new__(RingScalar)
-        out.a = -self.a
-        out.b = -self.b
-        out.c = -self.c
-        out.d = -self.d
-        out.k = self.k
-        return out
+        return RingScalar(-self.a, -self.b, -self.c, -self.d, self.k)
 
     def __mul__(self, other: RingScalar | int) -> RingScalar:
         if isinstance(other, int):
@@ -225,6 +220,10 @@ class RealValue(namedtuple("RealValue", "p q")):
             if part.denominator & (part.denominator - 1):
                 raise ValueError(f"{part} is not dyadic")
         return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> RealValue:
+        return cls(*fields)  # _replace calls this, so both check like the constructor
 
     @property
     def is_zero(self) -> bool:

@@ -62,8 +62,7 @@ same cap bounds the support: a sparse state or column that an h leaves
 with more than 2^cap nonzero amplitudes raises TooWide, so wires that
 gates touch cannot grow it past what a full cap-wide state holds. The
 TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
-than MAX_CAP, overrides it; `circuit.width_cap()` reads it on each use, and
-this module re-exports it with DEFAULT_CAP, MAX_CAP and BadWidthCap.
+than MAX_CAP, overrides it; `circuit.width_cap()` reads it on each use.
 """
 
 from __future__ import annotations
@@ -71,9 +70,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-# The width cap lives in `circuit`, which every command loads; sim keeps its names.
-from .circuit import DEFAULT_CAP, MAX_CAP, BadWidthCap, width_cap  # noqa: F401
-from .circuit import GATES, Circuit, DomainError, Gate
+from .circuit import GATES, Circuit, DomainError, Gate, width_cap
 from .packed import run_packed, start_pattern
 from .ring import ONE, ROTATE, ZERO, RingScalar, omega_pow
 
@@ -221,14 +218,12 @@ class ExactState(namedtuple("ExactState", "n amps")):
         return super().__new__(cls, n, amps)
 
     @classmethod
+    def _make(cls, fields: Iterable) -> ExactState:
+        return cls(*fields)  # _replace calls this, so both check like the constructor
+
+    @classmethod
     def basis(cls, n: int, index: int) -> ExactState:
         return cls(n, {index: ONE})
-
-    def amplitude(self, index: int) -> RingScalar:
-        return self.amps.get(index, ZERO)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.amps))
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted(self.amps.items()))))
@@ -320,6 +315,10 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows")):
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ExactMatrix:
+        return cls(*fields)  # _replace calls this, so both check like the constructor
 
     @property
     def dim(self) -> int:

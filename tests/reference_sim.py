@@ -90,7 +90,7 @@ def apply_gate(amps: dict[int, RingScalar], gate: Gate, n: int) -> dict[int, Rin
 
 def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     assert state.n == c.width
-    amps = {i: state.amplitude(i) for i in state.support()}
+    amps = state.amps
     for gate in c.gates:
         amps = apply_gate(amps, gate, state.n)
     return ExactState(state.n, amps)
@@ -104,10 +104,10 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
     for x in range(dim):
         state = apply_circuit(ExactState.basis(c.width, x << c.n_anc), c)
         column: dict[int, RingScalar] = {}
-        for index in state.support():
+        for index, v in state.amps.items():
             if index & anc_mask:
                 raise AncillaContractViolated(x)
-            column[index >> c.n_anc] = state.amplitude(index)
+            column[index >> c.n_anc] = v
         columns.append(column)
     return ExactMatrix.from_columns(dim, columns)
 
@@ -248,8 +248,7 @@ def single_qubit_cliffords() -> tuple[ExactMatrix, ...]:
 
 def norm_squared(state: ExactState) -> RingScalar:
     total = ZERO
-    for i in state.support():
-        v = state.amplitude(i)
+    for v in state.amps.values():
         total = total + v * v.conjugate()
     return total
 

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tdo
-from tdo.circuit import Circuit
+from tdo.circuit import BadWidthCap, Circuit
 from tdo.cli import main
 from tdo.obstruction import obstruction_verdict
 from tdo.rewriter import NotAlmostClassical
-from tdo.sim import AncillaContractViolated, BadWidthCap, TooWide, WidthMismatch
+from tdo.sim import AncillaContractViolated, TooWide, WidthMismatch
 from tdo.text import SourceError, emit, parse
 from tdo.constructions import (
     BadParams,

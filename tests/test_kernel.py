@@ -325,11 +325,11 @@ def test_apply_circuit_bounds_support(monkeypatch):
         return Circuit(n, 0, tuple(Gate("h", (q,)) for q in range(n)))
 
     monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
-    assert len(apply_circuit(ExactState.basis(12, 0), all_h(12)).support()) == 4096
+    assert len(apply_circuit(ExactState.basis(12, 0), all_h(12)).amps) == 4096
     with pytest.raises(TooWide):
         apply_circuit(ExactState.basis(13, 0), all_h(13))
     monkeypatch.setenv("TDO_MAX_QUBITS", "13")
-    assert len(apply_circuit(ExactState.basis(13, 0), all_h(13)).support()) == 8192
+    assert len(apply_circuit(ExactState.basis(13, 0), all_h(13)).amps) == 8192
 
 
 def test_apply_circuit_caps_the_lanes_it_can_fill(monkeypatch):

@@ -1,10 +1,15 @@
-"""The package resolves its public names from their home modules on first use."""
+"""The package's public surface: each name resolves from its home module on
+first use, and each checked value has one construction path."""
 
 import sys
 
 import pytest
 
 import tdo
+from tdo.circuit import Circuit, Gate
+from tdo.obstruction import PauliString
+from tdo.ring import ONE, RealValue
+from tdo.sim import ExactMatrix, ExactState
 
 
 def test_every_public_name_resolves_to_its_home_object():
@@ -36,3 +41,27 @@ def test_modules_resolve_as_attributes(monkeypatch):
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_name"):
         tdo.no_such_name
+
+
+def _error(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("value, field, bad, message", [
+    (Circuit(1, 0, (Gate("t", (0,)),)), "gates", (Gate("zz", (5,)),), "unknown gate kind 'zz'"),
+    (PauliString(1, ("X",)), "sign", 2, "sign must be +1 or -1"),
+    (ExactState.basis(2, 1), "amps", {9: ONE}, "basis index 9 out of range"),
+    (ExactMatrix([[ONE]]), "rows", [[ONE, ONE]], "matrix must be square"),
+    (RealValue(1, 2), "p", 0.1, "RealValue parts must be exact rationals"),
+], ids=["circuit", "pauli", "state", "matrix", "real"])
+def test_replace_and_make_check_fields_like_the_constructor(value, field, bad, message):
+    cls = type(value)
+    fields = {**value._asdict(), field: bad}
+    error = _error(lambda: cls(**fields))
+    assert error[1].startswith(message)
+    assert _error(lambda: value._replace(**{field: bad})) == error
+    assert _error(lambda: cls._make(fields.values())) == error
+    same = value._replace()
+    assert same == value and type(same) is cls and repr(same) == repr(value)

@@ -103,6 +103,15 @@ def test_associativity_and_distributivity(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
+@given(scalars, scalars, st.integers(-40, 40))
+def test_negation_and_subtraction(x, y, n):
+    assert -x == MINUS_ONE * x
+    assert hash(-x) == hash(MINUS_ONE * x)
+    assert x - y + y == x
+    assert x - x == ZERO
+    assert n - x == -(x - n)
+
+
 @given(scalars)
 def test_canonical_form_stable_and_value_preserving(x):
     # Rebuilding from the stored coefficients is the identity, and

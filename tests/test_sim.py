@@ -52,7 +52,7 @@ def test_apply_x_and_t():
     assert flipped == ExactState.basis(1, 1)
     for x in (0, 1):
         out = apply_circuit(ExactState.basis(1, x), Circuit(1, 0, (gate("t", 0),)))
-        assert out.amplitude(x) == omega_pow(x)
+        assert out.amps[x] == omega_pow(x)
 
 
 def test_width_mismatch():
