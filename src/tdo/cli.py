@@ -139,16 +139,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str | None]:
-    from .ring import render_real
-
     if args.builtin is not None:
         c = _BUILTIN_CIRCUITS[args.builtin]
     else:
         c = _read_circuit(args.file)
     verdict = obstruction_verdict(c)
     payload = {
-        "e_zero": render_real(verdict.e_zero),
-        "e_plus": render_real(verdict.e_plus),
+        "e_zero": str(verdict.e_zero),
+        "e_plus": str(verdict.e_plus),
         "ratio_rational": verdict.ratio_rational,
         "conclusion": verdict.conclusion,
     }
@@ -211,9 +209,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     # arguments, so a refused subcommand line still reports its command.
     args = argparse.Namespace(command=None)
     try:
-        _, extra = _parser().parse_known_args(argv, args)
-        if extra:
-            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        _parser().parse_args(argv, args)
         width_cap()  # a bad TDO_MAX_QUBITS fails every command, before any file is read
         payload, text = args.run(args)
     except DomainError as exc:

@@ -11,7 +11,8 @@ with omega^4 = -1 and sqrt2 = omega - omega^3. Construction always reduces
 to canonical form (k = 0, or the numerator not divisible by sqrt2 in
 Z[omega]), so structural equality coincides with value equality no matter
 how a result was computed. Integers are unbounded; nothing here ever
-rounds.
+rounds. An int compares and hashes as its ring element, so ``RingScalar(3)
+== 3`` and both hash alike. ``str()`` gives a value's canonical text.
 
 Real ring elements are dyadic combinations p + q*sqrt2; they get their own
 type `RealValue`, which carries the exact rationality test used for
@@ -115,9 +116,7 @@ class RingScalar:
     __radd__ = __add__
 
     def __sub__(self, other: RingScalar | int) -> RingScalar:
-        if isinstance(other, int):
-            other = RingScalar(other)
-        elif not isinstance(other, RingScalar):
+        if not isinstance(other, (RingScalar, int)):
             return NotImplemented
         return self + (-other)
 
@@ -153,23 +152,17 @@ class RingScalar:
         return a * s, b * s, c * s, d * s
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RingScalar):
-            return (
-                self.a == other.a
-                and self.b == other.b
-                and self.c == other.c
-                and self.d == other.d
-                and self.k == other.k
-            )
         if isinstance(other, int):
-            return (
-                self.k == 0
-                and self.b == 0
-                and self.c == 0
-                and self.d == 0
-                and self.a == other
-            )
-        return NotImplemented
+            other = RingScalar(other)
+        elif not isinstance(other, RingScalar):
+            return NotImplemented
+        return (
+            self.a == other.a
+            and self.b == other.b
+            and self.c == other.c
+            and self.d == other.d
+            and self.k == other.k
+        )
 
     def __hash__(self) -> int:
         if self.k == 0 and self.b == 0 and self.c == 0 and self.d == 0:
@@ -183,7 +176,8 @@ class RingScalar:
         return f"RingScalar({self.a}, {self.b}, {self.c}, {self.d}, {self.k})"
 
     def __str__(self) -> str:
-        return render_ring(self)
+        """Canonical text form ``(a + b*w + c*w^2 + d*w^3)/sqrt2^k``."""
+        return f"({self.a} + {self.b}*w + {self.c}*w^2 + {self.d}*w^3)/sqrt2^{self.k}"
 
 
 ZERO = RingScalar(0)
@@ -237,7 +231,8 @@ class RealValue(namedtuple("RealValue", "p q")):
         return f"RealValue({self.p!r}, {self.q!r})"
 
     def __str__(self) -> str:
-        return render_real(self)
+        """Canonical text form ``p + q*sqrt2`` with dyadic parts as ``n/2^j``."""
+        return f"{_render_dyadic(self.p)} + {_render_dyadic(self.q)}*sqrt2"
 
 
 def ratio_is_rational(x: RealValue, y: RealValue) -> bool:
@@ -258,12 +253,3 @@ def _render_dyadic(f: Fraction) -> str:
         return str(f.numerator)
     return f"{f.numerator}/2^{j}"
 
-
-def render_ring(x: RingScalar) -> str:
-    """Canonical text form ``(a + b*w + c*w^2 + d*w^3)/sqrt2^k``."""
-    return f"({x.a} + {x.b}*w + {x.c}*w^2 + {x.d}*w^3)/sqrt2^{x.k}"
-
-
-def render_real(v: RealValue) -> str:
-    """Canonical text form ``p + q*sqrt2`` with dyadic parts as ``n/2^j``."""
-    return f"{_render_dyadic(v.p)} + {_render_dyadic(v.q)}*sqrt2"

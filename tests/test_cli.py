@@ -434,6 +434,20 @@ def test_verify_contract_violation_exits_1(tmp_path):
     assert report_of(err)["error"]["basis_input"] == 1
 
 
+def test_verify_of_different_main_registers_exits_1(tmp_path):
+    one = tmp_path / "one.tdo"
+    two = tmp_path / "two.tdo"
+    one.write_text("qubits 1\n")
+    two.write_text("qubits 2\n")
+    code, out, err = run(["verify", str(one), str(two)])
+    assert (code, out) == (1, "")
+    assert report_of(err) == {
+        "command": "verify",
+        "error": {"message": "circuits act on different main registers"},
+        "status": "error",
+    }
+
+
 def test_verify_too_wide_exits_1(tmp_path, monkeypatch):
     monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
     wide = tmp_path / "wide.tdo"

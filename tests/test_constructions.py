@@ -140,6 +140,11 @@ def test_add_control_rejects_non_controlled_circuits():
         add_control(Circuit(1, 0, (gate("h", 0),)))
 
 
+def test_add_control_rejects_a_circuit_with_no_main_qubits():
+    with pytest.raises(NotAControlledCircuit, match="^inner circuit has no main qubits$"):
+        add_control(Circuit(0))
+
+
 @pytest.mark.parametrize("prefix", [(), (gate("h", 2), gate("h", 2))])
 def test_add_control_checks_the_ancilla_contract_first(prefix):
     # Not a pure control on input 0, and it leaks the ancilla on input 2:

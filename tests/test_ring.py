@@ -17,8 +17,6 @@ from tdo.ring import (
     ZERO,
     omega_pow,
     ratio_is_rational,
-    render_real,
-    render_ring,
 )
 
 import reference_sim as ref
@@ -112,6 +110,33 @@ def test_negation_and_subtraction(x, y, n):
     assert n - x == -(x - n)
 
 
+def test_negative_denominator_exponent_raises():
+    with pytest.raises(ValueError):
+        RingScalar(1, k=-1)
+
+
+@given(scalars | st.integers(-40, 40).map(RingScalar), st.integers(-40, 40))
+def test_ints_act_as_their_ring_element(x, n):
+    assert (x == n) == (x == RingScalar(n)) == (n == x)
+    if x == n:
+        assert hash(x) == hash(n)
+    assert x * n == n * x == x * RingScalar(n)
+    assert x + n == n + x
+
+
+def test_int_equality_is_by_value_and_a_float_does_not_coerce():
+    assert RingScalar(2, 0, 0, 0, 2) == 1
+    assert RingScalar(1) != 1.0
+
+
+@given(scalars)
+def test_arithmetic_with_a_float_raises(x):
+    for operate in (lambda: x + 1.5, lambda: x - 1.5, lambda: x * 1.5, lambda: 1.5 - x):
+        with pytest.raises(TypeError):
+            operate()
+    assert (x == "1") is False
+
+
 @given(scalars)
 def test_canonical_form_stable_and_value_preserving(x):
     # Rebuilding from the stored coefficients is the identity, and
@@ -168,12 +193,12 @@ def test_real_value_rejects_float_parts():
     for p, q in ((0.1, 0), (0, 0.5), (1.0, 0)):
         with pytest.raises(TypeError):
             RealValue(p, q)
-    assert render_real(RealValue(1, Fraction(1, 4))) == "1 + 1/2^2*sqrt2"
+    assert str(RealValue(1, Fraction(1, 4))) == "1 + 1/2^2*sqrt2"
 
 
 def test_renderings():
-    assert render_ring(OMEGA) == "(0 + 1*w + 0*w^2 + 0*w^3)/sqrt2^0"
-    assert render_ring(INV_SQRT2) == "(1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^1"
-    assert render_real(INV_SQRT2.to_real()) == "0 + 1/2^1*sqrt2"
-    assert render_real(RealValue(Fraction(1, 2))) == "1/2^1 + 0*sqrt2"
-    assert render_real(RealValue(3)) == "3 + 0*sqrt2"
+    assert str(OMEGA) == "(0 + 1*w + 0*w^2 + 0*w^3)/sqrt2^0"
+    assert str(INV_SQRT2) == "(1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^1"
+    assert str(INV_SQRT2.to_real()) == "0 + 1/2^1*sqrt2"
+    assert str(RealValue(Fraction(1, 2))) == "1/2^1 + 0*sqrt2"
+    assert str(RealValue(3)) == "3 + 0*sqrt2"

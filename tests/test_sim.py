@@ -60,6 +60,12 @@ def test_width_mismatch():
         apply_circuit(ExactState.basis(1, 0), Circuit(2))
 
 
+@pytest.mark.parametrize("gates", [(), (gate("h", 0),)], ids=["h-free", "with-h"])
+def test_equivalence_of_different_main_registers_raises(gates):
+    with pytest.raises(WidthMismatch, match="^circuits act on different main registers$"):
+        equivalence_phase(Circuit(1, 0, gates), Circuit(2, 0, gates))
+
+
 @pytest.mark.parametrize("value, same, field, text", [
     (ExactState.basis(2, 1), ExactState(2, {0: ZERO, 1: RingScalar(2, 0, 0, 0, 2)}), "n",
      "ExactState(2, {1: (1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^0})"),
