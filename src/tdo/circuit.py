@@ -2,11 +2,11 @@
 
 A gate is a named application of a fixed vocabulary to distinct wires; for
 controlled kinds the controls come first and the target last. `GATES` is
-the one table of gate kinds: arity, inverse, T and Clifford flags, and the
-monomial action that the simulator compiles and the rewriter checks. A
-circuit owns ``n_main`` working qubits followed by ``n_anc`` ancilla
-qubits; the ancillas are promised to start in |0> and be returned to |0>
-(the simulator enforces this when extracting the induced operator).
+the one table of gate kinds: arity, inverse, T flag, and the monomial
+action that the simulator compiles and the rewriter checks. A circuit
+owns ``n_main`` working qubits followed by ``n_anc`` ancilla qubits; the
+ancillas are promised to start in |0> and be returned to |0> (the
+simulator enforces this when extracting the induced operator).
 
 Metrics, all pure functions of the gate list:
 
@@ -96,7 +96,7 @@ def width_cap() -> int:
     return int(env)
 
 
-class GateKind(namedtuple("GateKind", "arity inverse is_t is_clifford action")):
+class GateKind(namedtuple("GateKind", "arity inverse is_t action")):
     """Everything the library knows about one gate kind.
 
     ``action`` describes a monomial gate (one that sends each basis state
@@ -113,25 +113,24 @@ class GateKind(namedtuple("GateKind", "arity inverse is_t is_clifford action")):
 
 _CX: ActionStep = ((0,), (1,), 0)
 
-# GateKind(arity, inverse, is_t, is_clifford, action). Clifford kinds map
-# Pauli strings to signed Pauli strings under conjugation; y is omega^2,
-# then z, then x; swap is three cx.
+# GateKind(arity, inverse, is_t, action). y is omega^2, then z, then x;
+# swap is three cx.
 GATES: dict[str, GateKind] = {
-    "x": GateKind(1, "x", False, True, (((), (0,), 0),)),
-    "y": GateKind(1, "y", False, True, (((), (), 2), ((0,), (), 4), ((), (0,), 0))),
-    "z": GateKind(1, "z", False, True, (((0,), (), 4),)),
-    "h": GateKind(1, "h", False, True, None),
-    "s": GateKind(1, "sdg", False, True, (((0,), (), 2),)),
-    "sdg": GateKind(1, "s", False, True, (((0,), (), 6),)),
-    "t": GateKind(1, "tdg", True, False, (((0,), (), 1),)),
-    "tdg": GateKind(1, "t", True, False, (((0,), (), 7),)),
-    "cx": GateKind(2, "cx", False, True, (_CX,)),
-    "cz": GateKind(2, "cz", False, True, (((0, 1), (), 4),)),
-    "cs": GateKind(2, "csdg", False, False, (((0, 1), (), 2),)),
-    "csdg": GateKind(2, "cs", False, False, (((0, 1), (), 6),)),
-    "swap": GateKind(2, "swap", False, True, (_CX, ((1,), (0,), 0), _CX)),
-    "ccx": GateKind(3, "ccx", False, False, (((0, 1), (2,), 0),)),
-    "ccz": GateKind(3, "ccz", False, False, (((0, 1, 2), (), 4),)),
+    "x": GateKind(1, "x", False, (((), (0,), 0),)),
+    "y": GateKind(1, "y", False, (((), (), 2), ((0,), (), 4), ((), (0,), 0))),
+    "z": GateKind(1, "z", False, (((0,), (), 4),)),
+    "h": GateKind(1, "h", False, None),
+    "s": GateKind(1, "sdg", False, (((0,), (), 2),)),
+    "sdg": GateKind(1, "s", False, (((0,), (), 6),)),
+    "t": GateKind(1, "tdg", True, (((0,), (), 1),)),
+    "tdg": GateKind(1, "t", True, (((0,), (), 7),)),
+    "cx": GateKind(2, "cx", False, (_CX,)),
+    "cz": GateKind(2, "cz", False, (((0, 1), (), 4),)),
+    "cs": GateKind(2, "csdg", False, (((0, 1), (), 2),)),
+    "csdg": GateKind(2, "cs", False, (((0, 1), (), 6),)),
+    "swap": GateKind(2, "swap", False, (_CX, ((1,), (0,), 0), _CX)),
+    "ccx": GateKind(3, "ccx", False, (((0, 1), (2,), 0),)),
+    "ccz": GateKind(3, "ccz", False, (((0, 1, 2), (), 4),)),
 }
 
 T_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.is_t)

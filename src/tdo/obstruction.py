@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import product
 
-from .circuit import GATES, T_KINDS, Circuit, Gate, width_cap
+from .circuit import T_KINDS, Circuit, Gate, width_cap
 from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
 from .sim import ExactState, TooWide, WidthMismatch, apply_circuit
 
@@ -102,7 +102,7 @@ def split_tdepth1(c: Circuit) -> SplitCircuit:
             if any(q == qubit for q, _ in layer):
                 raise NotTDepthOneShape(position, f"qubit {qubit} repeated in the T block")
             layer.append((qubit, gate.kind))
-        elif GATES[gate.kind].is_clifford:
+        elif gate.kind in _CONJ:
             if phase == 1:
                 phase = 2
             (pre if phase == 0 else post).append(gate)
@@ -115,73 +115,46 @@ def split_tdepth1(c: Circuit) -> SplitCircuit:
     )
 
 
-# Images of single letters under g^dagger P g, as (sign, letter).
-_CONJ_1Q: dict[str, dict[str, tuple[int, str]]] = {
-    "x": {"X": (1, "X"), "Y": (-1, "Y"), "Z": (-1, "Z")},
-    "y": {"X": (-1, "X"), "Y": (1, "Y"), "Z": (-1, "Z")},
-    "z": {"X": (-1, "X"), "Y": (-1, "Y"), "Z": (1, "Z")},
+# Clifford kinds map Pauli strings to signed Pauli strings under
+# conjugation. _CONJ[kind] maps the word of letters that P has on the gate's
+# wires (control first) to (sign, image word) for g^dagger P g; a word not
+# listed is fixed. Its keys are the Clifford vocabulary.
+_CONJ: dict[str, dict[str, tuple[int, str]]] = {
+    "x": {"Y": (-1, "Y"), "Z": (-1, "Z")},
+    "y": {"X": (-1, "X"), "Z": (-1, "Z")},
+    "z": {"X": (-1, "X"), "Y": (-1, "Y")},
     "h": {"X": (1, "Z"), "Y": (-1, "Y"), "Z": (1, "X")},
-    "s": {"X": (-1, "Y"), "Y": (1, "X"), "Z": (1, "Z")},
-    "sdg": {"X": (1, "Y"), "Y": (-1, "X"), "Z": (1, "Z")},
+    "s": {"X": (-1, "Y"), "Y": (1, "X")},
+    "sdg": {"X": (1, "Y"), "Y": (-1, "X")},
+    "cx": {
+        "IY": (1, "ZY"), "IZ": (1, "ZZ"), "XI": (1, "XX"), "XX": (1, "XI"),
+        "XY": (1, "YZ"), "XZ": (-1, "YY"), "YI": (1, "YX"), "YX": (1, "YI"),
+        "YY": (-1, "XZ"), "YZ": (1, "XY"), "ZY": (1, "IY"), "ZZ": (1, "IZ"),
+    },
+    "cz": {
+        "IX": (1, "ZX"), "IY": (1, "ZY"), "XI": (1, "XZ"), "XX": (1, "YY"),
+        "XY": (-1, "YX"), "XZ": (1, "XI"), "YI": (1, "YZ"), "YX": (-1, "XY"),
+        "YY": (1, "XX"), "YZ": (1, "YI"), "ZX": (1, "IX"), "ZY": (1, "IY"),
+    },
+    "swap": {
+        "IX": (1, "XI"), "IY": (1, "YI"), "IZ": (1, "ZI"), "XI": (1, "IX"),
+        "XY": (1, "YX"), "XZ": (1, "ZX"), "YI": (1, "IY"), "YX": (1, "XY"),
+        "YZ": (1, "ZY"), "ZI": (1, "IZ"), "ZX": (1, "XZ"), "ZY": (1, "YZ"),
+    },
 }
-
-# Two-qubit images of single-wire letters as (letter1, letter2); signs are +1.
-_CX_CONTROL = {"I": ("I", "I"), "X": ("X", "X"), "Y": ("Y", "X"), "Z": ("Z", "I")}
-_CX_TARGET = {"I": ("I", "I"), "X": ("I", "X"), "Y": ("Z", "Y"), "Z": ("Z", "Z")}
-_CZ_FIRST = {"I": ("I", "I"), "X": ("X", "Z"), "Y": ("Y", "Z"), "Z": ("Z", "I")}
-_CZ_SECOND = {"I": ("I", "I"), "X": ("Z", "X"), "Y": ("Z", "Y"), "Z": ("I", "Z")}
-
-# Pauli products P*Q as (power of i, letter).
-_PAULI_MUL: dict[tuple[str, str], tuple[int, str]] = {}
-for _l in _LETTERS:
-    _PAULI_MUL[("I", _l)] = (0, _l)
-    _PAULI_MUL[(_l, "I")] = (0, _l)
-    _PAULI_MUL[(_l, _l)] = (0, "I")
-_PAULI_MUL.update(
-    {
-        ("X", "Y"): (1, "Z"),
-        ("Y", "X"): (3, "Z"),
-        ("Y", "Z"): (1, "X"),
-        ("Z", "Y"): (3, "X"),
-        ("Z", "X"): (1, "Y"),
-        ("X", "Z"): (3, "Y"),
-    }
-)
-
-
-def _combine_pair(
-    first: tuple[str, str], second: tuple[str, str]
-) -> tuple[int, str, str]:
-    i1, l1 = _PAULI_MUL[(first[0], second[0])]
-    i2, l2 = _PAULI_MUL[(first[1], second[1])]
-    ipow = (i1 + i2) % 4
-    if ipow == 0:
-        return 1, l1, l2
-    if ipow == 2:
-        return -1, l1, l2
-    raise AssertionError("Clifford conjugation produced a residual phase i")
 
 
 def conjugate_clifford(p: PauliString, g: Gate) -> PauliString:
-    """g^dagger p g for a Clifford gate, by tableau update rules."""
-    if not GATES[g.kind].is_clifford:
+    """g^dagger p g for a Clifford gate, by one lookup in its image table."""
+    images = _CONJ.get(g.kind)
+    if images is None:
         raise NotClifford(f"{g.kind!r} is not in the Clifford vocabulary")
+    word = "".join(p.letters[q] for q in g.qubits)
+    sign, image = images.get(word, (1, word))
     letters = list(p.letters)
-    sign = p.sign
-    if g.kind in _CONJ_1Q:
-        q = g.qubits[0]
-        if letters[q] != "I":
-            s, letters[q] = _CONJ_1Q[g.kind][letters[q]]
-            sign *= s
-    elif g.kind == "swap":
-        a, b = g.qubits
-        letters[a], letters[b] = letters[b], letters[a]
-    else:
-        a, b = g.qubits
-        table1, table2 = (_CX_CONTROL, _CX_TARGET) if g.kind == "cx" else (_CZ_FIRST, _CZ_SECOND)
-        s, letters[a], letters[b] = _combine_pair(table1[letters[a]], table2[letters[b]])
-        sign *= s
-    return PauliString(sign, tuple(letters))
+    for q, letter in zip(g.qubits, image):
+        letters[q] = letter
+    return PauliString(p.sign * sign, tuple(letters))
 
 
 # Expansion of letters through one t or tdg on the same wire: each entry is

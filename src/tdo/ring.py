@@ -121,6 +121,8 @@ class RingScalar:
         return self + (-other)
 
     def __rsub__(self, other: RingScalar | int) -> RingScalar:
+        if not isinstance(other, (RingScalar, int)):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self) -> RingScalar:

@@ -9,9 +9,9 @@ ExactMatrix) and the ancilla-contract and width-mismatch exceptions are
 shared, so results compare with `==`.
 
 The rest is dense matrix algebra over those containers (products,
-adjoints, unitarity and shape checks), phase diagonals, the single-qubit
-Clifford group, state norms, the exact sign of a RealValue, and the plain
-per-wire loop of the scheduled T-depth metric.
+adjoints, unitarity and shape checks), phase diagonals, the k-controlled
+X matrix, the single-qubit Clifford group, state norms, the exact sign of
+a RealValue, and the plain per-wire loop of the scheduled T-depth metric.
 """
 
 from __future__ import annotations
@@ -131,6 +131,17 @@ def gate_matrix(kind: str) -> ExactMatrix:
     """The matrix of one gate kind over its own wires, most significant first."""
     n = GATES[kind].arity
     return induced_unitary(Circuit(n, 0, (Gate(kind, tuple(range(n))),)))
+
+
+def k_controlled_x_matrix(k: int) -> ExactMatrix:
+    """X on the last of k + 1 wires when the first k all hold 1."""
+    dim = 1 << (k + 1)
+    controls = ((1 << k) - 1) << 1
+    rows = [[ZERO] * dim for _ in range(dim)]
+    for x in range(dim):
+        y = x ^ 1 if x & controls == controls else x
+        rows[y][x] = ONE
+    return ExactMatrix(rows)
 
 
 def identity(dim: int) -> ExactMatrix:

@@ -36,7 +36,6 @@ from tdo.ring import (
     ONE,
     RealValue,
     RingScalar,
-    ZERO,
     ratio_is_rational,
 )
 from tdo.sim import ExactMatrix, equivalence_phase, induced_unitary
@@ -108,27 +107,17 @@ def test_c05_add_control_costs():
     assert metrics(without).gate_count - base.gate_count == 22
 
 
-def _k_controlled_x_matrix(k: int) -> ExactMatrix:
-    dim = 1 << (k + 1)
-    controls = ((1 << k) - 1) << 1
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for x in range(dim):
-        y = x ^ 1 if x & controls == controls else x
-        rows[y][x] = ONE
-    return ExactMatrix(rows)
-
-
 def test_c06_multi_controlled_x():
     three = multi_controlled_x(3)
     m = metrics(three)
     assert (m.t_count, m.t_depth_scheduled) == (15, 3)
-    assert induced_unitary(three) == _k_controlled_x_matrix(3)
+    assert induced_unitary(three) == ref.k_controlled_x_matrix(3)
 
     five = multi_controlled_x(5)
     m = metrics(five)
     assert (m.t_count, m.t_depth_scheduled) == (31, 5)
     # columnwise over the 64 main-register basis inputs
-    assert induced_unitary(five) == _k_controlled_x_matrix(5)
+    assert induced_unitary(five) == ref.k_controlled_x_matrix(5)
 
 
 def test_c07_controlled_t():

@@ -22,7 +22,7 @@ from tdo.constructions import (
     toffoli_tdepth1,
 )
 from tdo.ring import OMEGA, ONE
-from tdo.sim import AncillaContractViolated, ExactMatrix, equivalence_phase, induced_unitary
+from tdo.sim import AncillaContractViolated, equivalence_phase, induced_unitary
 from tdo.text import parse
 
 import reference_sim as ref
@@ -161,22 +161,13 @@ def test_add_control_accepts_controlled_phase():
     assert induced_unitary(out) == CONTROLLED_T
 
 
-def _k_controlled_x_matrix(k: int) -> ExactMatrix:
-    dim = 1 << (k + 1)
-    controls = ((1 << k) - 1) << 1
-    rows = [[ONE if i == (x ^ 1 if x & controls == controls else x) else None for x in range(dim)] for i in range(dim)]
-    from tdo.ring import ZERO
-
-    return ExactMatrix([[v if v is not None else ZERO for v in row] for row in rows])
-
-
 @pytest.mark.parametrize("k, t_gates, stages", [(1, 0, 0), (2, 7, 1), (3, 15, 3), (4, 23, 3), (5, 31, 5)])
 def test_multi_controlled_x(k, t_gates, stages):
     c = multi_controlled_x(k)
     m = metrics(c)
     assert m.t_count == t_gates
     assert m.t_depth_scheduled == stages
-    assert induced_unitary(c) == _k_controlled_x_matrix(k)
+    assert induced_unitary(c) == ref.k_controlled_x_matrix(k)
 
 
 def test_multi_controlled_x_t_count_formula():

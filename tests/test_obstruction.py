@@ -1,11 +1,12 @@
 """Pauli-path expectations and the irrationality certificate."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from tdo.circuit import Circuit, invert_gates
+from tdo.circuit import GATES, Circuit, invert_gates
 from tdo.constructions import ccz_tdepth1
 from tdo.obstruction import (
     INAPPLICABLE,
@@ -56,6 +57,58 @@ def _pauli_matrix(p: PauliString) -> ExactMatrix:
     for letter in p.letters[1:]:
         m = _kron(m, _PAULI[letter])
     return m.scaled(RingScalar(p.sign))
+
+
+def _conjugated_matrix(kind: str, p: PauliString) -> ExactMatrix:
+    g = ref.gate_matrix(kind)
+    return ref.matmul(ref.adjoint(g), _pauli_matrix(p), g)
+
+
+def _words(n: int) -> list[PauliString]:
+    return [PauliString(1, letters) for letters in itertools.product("IXYZ", repeat=n)]
+
+
+@functools.cache
+def _is_clifford(kind: str) -> bool:
+    """Whether U^dagger P U is +-a Pauli word for every word P, by matrices."""
+    words = _words(GATES[kind].arity)
+    signed = {_pauli_matrix(p._replace(sign=s)) for p in words for s in (1, -1)}
+    return all(_conjugated_matrix(kind, p) in signed for p in words)
+
+
+@pytest.mark.parametrize("kind", sorted(GATES))
+def test_conjugation_accepts_exactly_the_clifford_kinds(kind):
+    g = gate(kind, *range(GATES[kind].arity))
+    for p in _words(GATES[kind].arity):
+        if _is_clifford(kind):
+            assert _pauli_matrix(conjugate_clifford(p, g)) == _conjugated_matrix(kind, p)
+        else:
+            with pytest.raises(NotClifford):
+                conjugate_clifford(p, g)
+
+
+@pytest.mark.parametrize("kind", sorted(GATES))
+def test_split_refuses_exactly_the_kinds_neither_clifford_nor_t(kind):
+    c = Circuit(GATES[kind].arity, 0, (gate(kind, *range(GATES[kind].arity)),))
+    if _is_clifford(kind) or kind in ("t", "tdg"):
+        split_tdepth1(c)
+    else:
+        with pytest.raises(NotTDepthOneShape) as excinfo:
+            split_tdepth1(c)
+        assert excinfo.value.position == 0
+
+
+def test_pauli_string_rejects_other_letters():
+    with pytest.raises(ValueError, match="letters must be I, X, Y, or Z"):
+        PauliString(1, ("Q",))
+
+
+def test_expectations_reject_other_inputs():
+    c = Circuit(1, 0, (gate("t", 0),))
+    with pytest.raises(ValueError, match="phi must be 'zero' or 'plus'"):
+        expectation_pauli_path(split_tdepth1(c), "minus")
+    with pytest.raises(ValueError, match="phi must be 'zero' or 'plus'"):
+        expectation_direct(c, "minus")
 
 
 def test_split_accepts_single_stage_shape():

@@ -131,9 +131,13 @@ def test_int_equality_is_by_value_and_a_float_does_not_coerce():
 
 @given(scalars)
 def test_arithmetic_with_a_float_raises(x):
-    for operate in (lambda: x + 1.5, lambda: x - 1.5, lambda: x * 1.5, lambda: 1.5 - x):
+    for operate in (lambda: x + 1.5, lambda: x - 1.5, lambda: x * 1.5):
         with pytest.raises(TypeError):
             operate()
+    with pytest.raises(TypeError, match="for -: 'float' and 'RingScalar'"):
+        1.5 - x
+    with pytest.raises(TypeError, match="for -: 'str' and 'RingScalar'"):
+        "a" - x
     assert (x == "1") is False
 
 
@@ -194,6 +198,10 @@ def test_real_value_rejects_float_parts():
         with pytest.raises(TypeError):
             RealValue(p, q)
     assert str(RealValue(1, Fraction(1, 4))) == "1 + 1/2^2*sqrt2"
+
+
+def test_repr_spells_the_constructor_call():
+    assert repr(RingScalar(1, 0, 0, 0, 1)) == "RingScalar(1, 0, 0, 0, 1)"
 
 
 def test_renderings():
