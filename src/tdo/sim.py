@@ -38,9 +38,18 @@ exactly.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
 per basis input, yielded in input order (`induced_columns`). With an h,
-each input runs alone through `_run`, whose state is a dict from basis
-index to coefficient tuple: a column is often a few amplitudes
-over thousands of touched ancillas, which no dense layout could hold. An
+the inputs run in groups through `_run`, whose state is a dict from basis
+index to coefficient tuple: a column is often a few amplitudes over
+thousands of touched ancillas, which no dense layout could hold, and one
+kernel call per column per gate would cost more than the amplitudes do.
+Each input is tagged in index bits above every wire, which no compiled mask
+touches, so a group of up to _GROUP_SUPPORT inputs runs as one state with
+one k; RingScalar normalises each column at the end. A group that an h
+leaves with more than _GROUP_SUPPORT amplitudes (or 2^cap) splits in two by
+tag, and each half resumes after that h, the lower half first. A single
+column is capped like a sparse state, so refusals and their order are those
+of inputs run one by one. Groups run only while a tagged index fits a
+machine word; a wider layout runs each column alone, untagged. An
 h-free circuit runs once for all inputs, bit-sliced: each wire is one
 2^n_main-bit integer whose bit x is the wire's value on main-register input
 x, and the omega exponent mod 8 is three such bit-planes. A move ANDs its
@@ -52,21 +61,22 @@ exhaustive: the OR of the ancilla wires is zero exactly when every input
 restores them, and its lowest set bit is the first input that does not.
 Equivalence checking of two h-free circuits compares the slices
 themselves; otherwise it compares the two column streams pair by pair,
-holding one column of each. Only `induced_unitary` densifies columns into
-an `ExactMatrix`.
+holding one group's columns of each. Only `induced_unitary` densifies
+columns into an `ExactMatrix`.
 
 One width cap bounds the 2^n simulations, packed, bit-sliced or not: 12
 qubits for the lanes of a packed state, checked before anything is
-allocated, and for the main register of an induced operator. In `_run` the
-same cap bounds the support: a sparse state or column that an h leaves
-with more than 2^cap nonzero amplitudes raises TooWide, so wires that
-gates touch cannot grow it past what a full cap-wide state holds. The
+allocated, and for the main register of an induced operator. The same cap
+bounds the support: a sparse state or single column that an h leaves with
+more than 2^cap nonzero amplitudes raises TooWide, so wires that gates
+touch cannot grow it past what a full cap-wide state holds. The
 TDO_MAX_QUBITS environment variable, a string of ASCII digits no larger
 than MAX_CAP, overrides it; `circuit.width_cap()` reads it on each use.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -102,6 +112,10 @@ CompiledGate = tuple[int, tuple[Move, ...]]
 _OMEGA_POWERS = tuple(omega_pow(e) for e in range(8))
 
 _ZERO_COEFFS = (0, 0, 0, 0)
+
+# induced_columns runs columns together while a group of them holds at most
+# this many amplitudes (and at most a full cap-wide state) after each h.
+_GROUP_SUPPORT = 1 << 7
 
 
 def _compile(gates: Sequence[Gate], bit: Mapping[int, int]) -> list[CompiledGate]:
@@ -184,13 +198,14 @@ def _halved(amps: dict[int, tuple]) -> dict[int, tuple] | None:
 
 
 def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int, tuple]:
-    """One compiled gate on an n-qubit column of shared-k coefficient tuples.
+    """One compiled gate on n wires of shared-k coefficient tuples.
 
-    The dict kernel's step, for columns and sparse states.
-    Returns the new amplitudes; after an h step they are over a denominator
-    one power of sqrt2 higher. The masks already encode the width n, which
-    stays in the signature because perfbench/tracing.py wraps this function
-    by name and position to count gate applications and support sizes.
+    The dict kernel's step, for sparse states, columns and groups of tagged
+    columns alike: masks touch wire bits only. Returns the new amplitudes;
+    after an h step they are over a denominator one power of sqrt2 higher.
+    The masks already encode the width n, which stays in the signature
+    because perfbench/tracing.py wraps this function by name and position to
+    count gate applications and support sizes.
     """
     bit, moves = step
     if bit:
@@ -233,21 +248,31 @@ class ExactState(namedtuple("ExactState", "n amps")):
         return f"ExactState({self.n}, {{{inside}}})"
 
 
-def _run(amps: dict, k: int, steps: list[CompiledGate], n: int, cap: int) -> tuple[dict, int]:
-    """Compiled steps over one sparse state or column of shared-k coefficient tuples.
+def _run(
+    amps: dict, k: int, steps: list[CompiledGate], n: int, limit: int, at: int = 0
+) -> tuple[dict, int, int | None]:
+    """Compiled steps from `at` on, over shared-k coefficient tuples.
 
-    Returns the new amplitudes and k. TooWide is raised once an h leaves
-    more than 2^cap nonzero amplitudes.
+    The one gate loop of the dict kernel: the state is a sparse state, one
+    column, or a group of tagged columns. Returns the amplitudes, k and
+    None once every step has run. As soon as an h leaves more than `limit`
+    nonzero amplitudes it stops instead, returning the index of the step
+    after that h, so the caller can refuse, or split a group and resume.
     """
-    for step in steps:
+    for at in range(at, len(steps)):
+        step = steps[at]
         amps = _apply_gate(amps, step, n)
         if step[0]:
-            if len(amps) > 1 << cap:
-                raise TooWide(f"state support exceeds 2^{cap} amplitudes, the width cap")
             k += 1
             while k and (halved := _halved(amps)) is not None:
                 amps, k = halved, k - 1
-    return amps, k
+            if len(amps) > limit:
+                return amps, k, at + 1
+    return amps, k, None
+
+
+def _support_exceeds(cap: int) -> TooWide:
+    return TooWide(f"state support exceeds 2^{cap} amplitudes, the width cap")
 
 
 def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
@@ -294,7 +319,9 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     if dense:
         fields, k = run_packed(fields, k, steps, m)
     else:
-        fields, k = _run(fields, k, steps, m, cap)
+        fields, k, stopped = _run(fields, k, steps, m, 1 << cap)
+        if stopped is not None:
+            raise _support_exceeds(cap)
     constant = first & ~sum(1 << s for s in shifts)
     out = {}
     for f, v in fields.items():
@@ -403,9 +430,12 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
 
     Ancillas start in |0>. Every input is simulated; AncillaContractViolated
     reports the first whose output touches a nonzero ancilla pattern. The
-    main register is capped like state simulation (TooWide). An h-free
-    circuit is read off its bit-sliced run; otherwise each input runs on its
-    own, and only the ancillas that gates touch get a bit, after the mains.
+    main register is capped like state simulation (TooWide), and so is each
+    column's support. An h-free circuit is read off its bit-sliced run;
+    otherwise the inputs run in tagged groups that split after an h as they
+    grow (see the module docstring), and only the ancillas that gates touch
+    get a bit, after the mains. Either way refusals come at the first input
+    that would refuse if each ran alone.
     """
     if _h_free(c):
         mains, planes = _sliced(c)
@@ -425,12 +455,43 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
     bit = {q: 1 << (n - 1 - p) for p, q in enumerate([*range(c.n_main), *touched])}
     steps = _compile(c.gates, bit)
     cap = width_cap()
-    anc_mask = (1 << n_anc) - 1
-    for x in range(dim):
-        amps, k = _run({x << n_anc: (1, 0, 0, 0)}, 0, steps, n, cap)
-        if any(index & anc_mask for index in amps):
-            raise AncillaContractViolated(x)
-        yield {index >> n_anc: RingScalar(*v, k) for index, v in amps.items()}
+    wires, anc_mask = (1 << n) - 1, (1 << n_anc) - 1
+    # Columns run in groups of up to span inputs from start, input start + t
+    # at index t << n | (start + t) << n_anc: its tag t sits above every wire
+    # bit. Groups need a tagged index to fit a word; otherwise span is 1.
+    span = min(dim, _GROUP_SUPPORT) if _GROUP_SUPPORT << n <= sys.maxsize else 1
+    for start in range(0, dim, span):
+        pending = [({t << n | (start + t) << n_anc: (1, 0, 0, 0) for t in range(span)}, 0, 0, 0, span)]
+        while pending:
+            # The columns of tags lo..hi-1, resuming at step at; a piece split
+            # off at step at > 0 holds what the h before that step left.
+            amps, k, at, lo, hi = pending.pop()
+            first, lone = start + lo, hi - lo == 1
+            if lone:  # drops its tag, to run as if it had run alone throughout
+                amps, lo, hi = {i & wires: v for i, v in amps.items()}, 0, 1
+            limit = 1 << cap if lone else min(_GROUP_SUPPORT, 1 << cap)
+            if not at or len(amps) <= limit:
+                amps, k, at = _run(amps, k, steps, n, limit, at)
+            if at is not None:
+                if lone:
+                    raise _support_exceeds(cap)
+                mid = (lo + hi) // 2
+                lower, upper = {}, {}
+                for i, v in amps.items():
+                    (lower if i >> n < mid else upper)[i] = v
+                pending += [(upper, k, at, mid, hi), (lower, k, at, lo, mid)]
+                continue
+            # Input first + j has tag lo + j.
+            leaked = [(i >> n) - lo for i in amps if i & anc_mask]
+            if leaked:
+                raise AncillaContractViolated(first + min(leaked))
+            columns = [amps]
+            if not lone:
+                columns = [{} for _ in range(lo, hi)]
+                for i, v in amps.items():
+                    columns[(i >> n) - lo][i & wires] = v
+            for column in columns:
+                yield {i >> n_anc: RingScalar(*v, k) for i, v in column.items()}
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
@@ -452,7 +513,7 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     main wires, and an exponent difference that is the same j on every
     lane, so each difference plane is all zeros or all ones. Otherwise j is
     read off column 0, and the two column streams are compared pair by
-    pair, one column of each held at a time.
+    pair, one group's columns of each held at a time.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")

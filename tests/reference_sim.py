@@ -5,8 +5,9 @@ search, kept as independent oracles for the integer-coefficient kernel and
 the sparse column comparison in `tdo.sim`. It shares no gate semantics with
 `tdo.circuit.GATES` or `tdo.sim`: every kind is spelled out as its own
 branch over RingScalar amplitudes. Only the result containers (ExactState,
-ExactMatrix) and the ancilla-contract and width-mismatch exceptions are
-shared, so results compare with `==`.
+ExactMatrix) and the ancilla-contract, width-mismatch and width-cap
+exceptions are shared, so results compare with `==` and refusals by type
+and message.
 
 The rest is dense matrix algebra over those containers (products,
 adjoints, unitarity and shape checks), phase diagonals, the k-controlled
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from tdo.circuit import GATES, Circuit, Gate
 from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
-from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, WidthMismatch
+from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, TooWide, WidthMismatch
 
 _PHASES = {
     "z": MINUS_ONE,
@@ -96,20 +97,32 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     return ExactState(state.n, amps)
 
 
-def induced_unitary(c: Circuit) -> ExactMatrix:
-    """Columns over main-register basis inputs, ancillas in |0> and checked."""
+def induced_columns(c: Circuit, cap: int | None = None) -> list[dict[int, RingScalar]]:
+    """Columns over main-register basis inputs, each input run on its own.
+
+    Ancillas start in |0> and are checked after each input's run. With a
+    cap, the main register must fit it, and the first input whose support
+    after an h exceeds 2^cap raises TooWide, worded as the library words it.
+    """
+    if cap is not None and c.n_main > cap:
+        raise TooWide(f"{c.n_main}-main-qubit induced operator exceeds the width cap")
     anc_mask = (1 << c.n_anc) - 1
-    dim = 1 << c.n_main
     columns = []
-    for x in range(dim):
-        state = apply_circuit(ExactState.basis(c.width, x << c.n_anc), c)
-        column: dict[int, RingScalar] = {}
-        for index, v in state.amps.items():
-            if index & anc_mask:
-                raise AncillaContractViolated(x)
-            column[index >> c.n_anc] = v
-        columns.append(column)
-    return ExactMatrix.from_columns(dim, columns)
+    for x in range(1 << c.n_main):
+        amps = {x << c.n_anc: ONE}
+        for gate in c.gates:
+            amps = apply_gate(amps, gate, c.width)
+            if cap is not None and gate.kind == "h" and len(amps) > 1 << cap:
+                raise TooWide(f"state support exceeds 2^{cap} amplitudes, the width cap")
+        if any(index & anc_mask for index in amps):
+            raise AncillaContractViolated(x)
+        columns.append({index >> c.n_anc: v for index, v in amps.items()})
+    return columns
+
+
+def induced_unitary(c: Circuit) -> ExactMatrix:
+    """`induced_columns` with no cap, as a dense matrix."""
+    return ExactMatrix.from_columns(1 << c.n_main, induced_columns(c))
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:

@@ -60,13 +60,14 @@ def test_each_command_records_its_layer_span(tmp_path, argv, spans):
 
 def test_work_counter_counts_gate_steps_and_matrix_cells(tmp_path):
     # obstruct takes the packed kernel; these reach the dict kernel's
-    # positional `_apply_gate` and the dense matrix's `dim`.
+    # positional `_apply_gate` and the dense matrix's `dim`. verify runs the
+    # four columns of each circuit as one group: 2 circuits x 2 gates.
     f = tmp_path / "c.tdo"
     f.write_text("qubits 2\nh 0\ncx 0 1\n")
     counter = _tracing().WorkCounter()
     with counter.installed():
         code = tdo.cli.main(["verify", str(f), str(f)], io.StringIO(), io.StringIO())
         assert code == 0
-        assert counter.take()["sim.gate_applications"] == 16
+        assert counter.take()["sim.gate_applications"] == 4
         tdo.sim.induced_unitary(tdo.cli.parse(f.read_text()))
         assert counter.take()["sim.matrix_cells"] == 16

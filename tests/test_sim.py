@@ -1,13 +1,17 @@
 """Exact simulator: gate matrices, state evolution, contracts, oracles."""
 
 import copy
+import os
 import pickle
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdo.circuit import GATES, Circuit
+from tdo.circuit import DEFAULT_CAP, GATES, Circuit, Gate, invert_gates
 from tdo.ring import IM, INV_SQRT2, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
 from tdo.sim import (
     AncillaContractViolated,
@@ -276,3 +280,171 @@ def test_norm_preserved_exactly():
     c = Circuit(2, 0, (gate("h", 0), gate("t", 0), gate("cx", 0, 1), gate("h", 1)))
     out = apply_circuit(ExactState.basis(2, 0), c)
     assert ref.norm_squared(out) == RingScalar(1)
+
+
+# The column path runs inputs in tagged groups; each result below is held to
+# tests/reference_sim.py run one input at a time, refusals included.
+
+@contextmanager
+def _width_cap(value):
+    """TDO_MAX_QUBITS set to value (unset for None); yields the cap in force."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("TDO_MAX_QUBITS", None)
+        if value is not None:
+            os.environ["TDO_MAX_QUBITS"] = value
+        yield DEFAULT_CAP if value is None else int(value)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (TooWide, AncillaContractViolated) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _h_circuits(draw, n_main=None):
+    """1-4 main and 0-4 ancilla wires; random gates around h on some wires.
+
+    Half of them restore their ancillas: main-wire gates around such a
+    sequence and its inverse. The rest mostly leak.
+    """
+    if n_main is None:
+        n_main = draw(st.integers(1, 4))
+    width = n_main + draw(st.integers(0, 4))
+
+    def gates(wires, most):
+        kinds = [kind for kind in GATES if GATES[kind].arity <= len(wires)]
+        out = []
+        for _ in range(draw(st.integers(0, most))):
+            kind = draw(st.sampled_from(kinds))
+            out.append(Gate(kind, tuple(draw(st.permutations(wires))[:GATES[kind].arity])))
+        return out
+
+    wires = draw(st.permutations(range(width)))
+    hs = [Gate("h", (q,)) for q in wires[:draw(st.integers(1, width))]]
+    body = gates(range(width), 8)
+    at = draw(st.integers(0, len(body)))
+    body[at:at] = hs
+    if draw(st.booleans()):
+        body = gates(range(n_main), 4) + body + list(invert_gates(body)) + gates(range(n_main), 4)
+    return Circuit(n_main, width - n_main, tuple(body))
+
+
+@st.composite
+def _h_circuit_pairs(draw):
+    n_main = draw(st.integers(1, 4))
+    return draw(_h_circuits(n_main)), draw(_h_circuits(n_main))
+
+
+_CAPS = pytest.mark.parametrize("cap", ["3", "4", "6", None], ids=["cap3", "cap4", "cap6", "default"])
+
+
+@_CAPS
+@settings(max_examples=100, deadline=None)
+@given(c=_h_circuits())
+def test_grouped_columns_match_per_column_runs(cap, c):
+    with _width_cap(cap) as limit:
+        got = _outcome(lambda: list(sim.induced_columns(c)))
+        want = _outcome(lambda: ref.induced_columns(c, limit))
+    assert got == want
+
+
+def _reference_phase(c1, c2, cap):
+    ref.induced_columns(c1, cap)  # c1's refusal first, then c2's
+    ref.induced_columns(c2, cap)
+    return ref.equivalence_phase(c1, c2)
+
+
+@_CAPS
+@settings(max_examples=60, deadline=None)
+@given(pair=_h_circuit_pairs())
+def test_grouped_equivalence_matches_per_column_runs(cap, pair):
+    c1, c2 = pair
+    with _width_cap(cap) as limit:
+        got = _outcome(lambda: equivalence_phase(c1, c2))
+        want = _outcome(lambda: _reference_phase(c1, c2, limit))
+    assert got == want
+
+
+def test_grouped_columns_with_a_main_register_as_wide_as_the_cap(monkeypatch):
+    monkeypatch.setenv("TDO_MAX_QUBITS", "3")
+    every_h = tuple(gate("h", q) for q in range(3))
+    c = Circuit(3, 1, every_h + (gate("t", 0), gate("ccx", 0, 1, 3), gate("cs", 3, 2))
+                + (gate("ccx", 0, 1, 3),) + every_h)
+    assert list(sim.induced_columns(c)) == ref.induced_columns(c, 3)
+    with pytest.raises(TooWide, match=r"^state support exceeds 2\^3 amplitudes, the width cap$"):
+        list(sim.induced_columns(Circuit(3, 1, every_h + (gate("h", 3),))))
+
+
+def test_grouped_columns_refuse_one_amplitude_past_the_cap(monkeypatch):
+    # Inputs 0 and 1 reach 4 = 2^2 amplitudes and come out. Input 2 sets
+    # ancilla 4 to wire 1 and ancilla 3 to wires 1 and 2, so the last h
+    # pairs only two of its four amplitudes and leaves 5.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "2")
+    c = Circuit(2, 3, (gate("h", 1), gate("h", 2), gate("ccx", 0, 1, 4), gate("ccx", 4, 2, 3),
+                       gate("h", 2)))
+    want = ref.induced_columns(Circuit(2, 3, c.gates[:2] + c.gates[-1:]), 2)
+    columns = sim.induced_columns(c)
+    assert [next(columns), next(columns)] == want[:2]
+    with pytest.raises(TooWide, match=r"^state support exceeds 2\^2 amplitudes, the width cap$"):
+        next(columns)
+
+
+def test_grouped_columns_refuse_a_column_past_the_cap_at_its_groups_last_split(monkeypatch):
+    # Inputs 0 and 1 share a group of at most 2^3 amplitudes until the last
+    # h. Input 0 builds the 5 amplitudes of the case above (with wire 0
+    # inverted), which that h doubles to 10, and input 1 holds 4. Input 0
+    # is refused though no h follows.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "3")
+    c = Circuit(1, 5, (gate("h", 1), gate("h", 2), gate("x", 0), gate("ccx", 0, 1, 4), gate("x", 0),
+                       gate("ccx", 4, 2, 3), gate("h", 2), gate("h", 5)))
+    message = r"^state support exceeds 2\^3 amplitudes, the width cap$"
+    with pytest.raises(TooWide, match=message):
+        ref.induced_columns(c, 3)
+    with pytest.raises(TooWide, match=message):
+        list(sim.induced_columns(c))
+
+
+def _counted_steps(monkeypatch):
+    """A list that grows by one per `_apply_gate` call: per gate, per group or lone column."""
+    calls = []
+    step = sim._apply_gate
+    monkeypatch.setattr(sim, "_apply_gate", lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
+def test_grouped_columns_report_the_lowest_leak_of_a_group(monkeypatch):
+    # Inputs 1 and 3 leak, and all four inputs run as one group.
+    c = Circuit(2, 1, (gate("h", 2), gate("h", 2), gate("cx", 1, 2)))
+    calls = _counted_steps(monkeypatch)
+    with pytest.raises(AncillaContractViolated) as excinfo:
+        list(sim.induced_columns(c))
+    assert excinfo.value.basis_input == 1
+    assert len(calls) == len(c.gates)
+
+
+def test_c1_refusal_wins_over_c2_refusal_in_an_earlier_group():
+    # c2 leaks on input 1; c1 first leaks on input 384 (wires 0 and 1 set),
+    # which no group that holds input 1 reaches.
+    hh = (gate("h", 9), gate("h", 9))
+    c1 = Circuit(9, 1, hh + (gate("ccx", 0, 1, 9),))
+    c2 = Circuit(9, 1, hh + (gate("cx", 8, 9),))
+    for first, second, leak in ((c1, c2, 384), (c2, c1, 1)):
+        with pytest.raises(AncillaContractViolated) as excinfo:
+            equivalence_phase(first, second)
+        assert excinfo.value.basis_input == leak
+
+
+@pytest.mark.parametrize("n_anc, runs", [(50, 1), (60, 4)], ids=["grouped", "alone"])
+def test_columns_run_alone_when_a_tagged_index_passes_a_word(monkeypatch, n_anc, runs):
+    # A 7-bit tag above 52 wires fits 63 bits; above 62 wires it does not.
+    fan = tuple(gate("cx", 1, q) for q in range(2, 2 + n_anc))
+    restoring = Circuit(2, n_anc, (gate("h", 1),) + fan + fan[::-1] + (gate("h", 1), gate("t", 0)))
+    leaking = Circuit(2, n_anc, restoring.gates + (gate("cx", 0, 1 + n_anc),))
+    calls = _counted_steps(monkeypatch)
+    assert list(sim.induced_columns(restoring)) == ref.induced_columns(restoring)
+    assert len(calls) == runs * len(restoring.gates)
+    with pytest.raises(AncillaContractViolated) as excinfo:
+        list(sim.induced_columns(leaking))
+    assert excinfo.value.basis_input == 2
