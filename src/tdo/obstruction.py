@@ -1,13 +1,16 @@
 """Expectation-value certificates against single-T-stage implementations.
 
 The test measures the Pauli X observable on wire 0 of a circuit run on
-|phi> (x) |0...0> for phi in {|0>, |+>}, in two independent ways:
+|phi> (x) |0...0> for phi in {|0>, |+>}. Both ways start from |0...0>
+and prepare |phi> with gates (none for |0>, h on wire 0 for |+>):
 
-  direct      exact state simulation of <psi| X_0 |psi>
-  pauli path  conjugate X_0 backwards through the circuit: Clifford gates
-              map signed Pauli strings to signed Pauli strings, and each
-              t/tdg expands an X or Y letter into two terms that share one
-              factor of 1/sqrt2
+  direct      simulate the preparation, the circuit and one more h on
+              wire 0, which turns X_0 into Z_0, and sum +-|amplitude|^2
+  pauli path  conjugate X_0 backwards through the circuit and the
+              preparation: Clifford gates map signed Pauli strings to
+              signed Pauli strings, each t/tdg expands an X or Y letter
+              into two terms that share one factor of 1/sqrt2, and a term
+              whose letters are all I or Z counts its sign
 
 For any circuit shaped as Clifford gates, one block of t/tdg on distinct
 qubits, then Clifford gates, the path form shows both expectations equal
@@ -22,10 +25,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from fractions import Fraction
 from itertools import product
 
 from .circuit import T_KINDS, Circuit, Gate, width_cap
-from .ring import INV_SQRT2, ZERO, RealValue, RingScalar, ratio_is_rational
+from .ring import RealValue, RingScalar, ratio_is_rational
 from .sim import ExactState, TooWide, WidthMismatch, apply_circuit
 
 NO_TDEPTH1 = "no-tdepth1-possible"
@@ -194,10 +198,6 @@ def conjugate_tlayer(p: PauliString, layer: tuple[tuple[int, str], ...]) -> Paul
     return PauliSum(k, tuple(terms))
 
 
-_FACTOR_ZERO = {"I": 1, "Z": 1, "X": 0, "Y": 0}
-_FACTOR_PLUS = {"I": 1, "X": 1, "Y": 0, "Z": 0}
-
-
 def conjugate_clifford_chain(p: PauliString, segment: Circuit) -> PauliString:
     """Fold g^dagger p g over a Clifford segment, last-applied gate first."""
     for gate in reversed(segment.gates):
@@ -205,61 +205,61 @@ def conjugate_clifford_chain(p: PauliString, segment: Circuit) -> PauliString:
     return p
 
 
+_H0 = Gate("h", (0,))
+
+
+def _preparation(phi: str, width: int) -> tuple[Gate, ...]:
+    """The gates that take |0...0> to |phi> (x) |0...0>: none for |0>, h on wire 0 for |+>."""
+    if phi not in ("zero", "plus"):
+        raise ValueError("phi must be 'zero' or 'plus'")
+    if not width:
+        raise WidthMismatch("X_0 acts on wire 0, but the circuit has no wires")
+    return (_H0,) if phi == "plus" else ()
+
+
 def expectation_pauli_path(split: SplitCircuit, phi: str) -> RealValue:
     """<phi,0..0| U^dagger X_0 U |phi,0..0> via backward conjugation.
 
-    Every term contributes sign times a product of single-qubit factors
-    (<0|letter|0> off wire 0, <phi|letter|phi> on it), so the sum is an
-    integer and the result that integer times (1/sqrt2)^k.
+    The terms that count add their signs, so the result is an integer times
+    (1/sqrt2)^k.
     """
-    if phi not in ("zero", "plus"):
-        raise ValueError("phi must be 'zero' or 'plus'")
-    n = split.pre_clifford.width
-    observable = PauliString.x_on(0, n)
+    pre = split.pre_clifford
+    pre = pre._replace(gates=_preparation(phi, pre.width) + pre.gates)
+    observable = PauliString.x_on(0, pre.width)
     observable = conjugate_clifford_chain(observable, split.post_clifford)
     expansion = conjugate_tlayer(observable, split.t_layer)
-    first_factor = _FACTOR_PLUS if phi == "plus" else _FACTOR_ZERO
     total = 0
     for term in expansion.terms:
-        term = conjugate_clifford_chain(term, split.pre_clifford)
-        value = term.sign * first_factor[term.letters[0]]
-        if value:
-            for letter in term.letters[1:]:
-                if _FACTOR_ZERO[letter] == 0:
-                    value = 0
-                    break
-        total += value
+        term = conjugate_clifford_chain(term, pre)
+        if all(letter in "IZ" for letter in term.letters):
+            total += term.sign
     return RingScalar(total, 0, 0, 0, expansion.k).to_real()
-
-
-def _initial_state(c: Circuit, phi: str) -> ExactState:
-    n = c.width
-    if phi == "zero":
-        return ExactState.basis(n, 0)
-    if phi == "plus":
-        top = 1 << (n - 1)
-        return ExactState(n, {0: INV_SQRT2, top: INV_SQRT2})
-    raise ValueError("phi must be 'zero' or 'plus'")
 
 
 def expectation_direct(c: Circuit, phi: str) -> RealValue:
     """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation.
 
-    TooWide is raised before anything is simulated when the declared width
-    (main plus ancillas) is over the width cap, even if the gates touch
-    only a few wires.
+    The sum of +-|amplitude|^2, minus where wire 0 holds 1, is two integers
+    over one 2^k: |(w + x*omega + y*omega^2 + z*omega^3)/sqrt2^k|^2 is
+    (w^2 + x^2 + y^2 + z^2 + (wx + xy + yz - zw)*sqrt2) / 2^k. TooWide is
+    raised before anything is simulated when the declared width (main plus
+    ancillas) is over the width cap, even if the gates touch only a few
+    wires.
     """
     n = c.width
     if n > width_cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
-    amps = apply_circuit(_initial_state(c, phi), c).amps
+    run = c._replace(gates=_preparation(phi, n) + c.gates + (_H0,))
+    amps = apply_circuit(ExactState.basis(n, 0), run).amps
     top = 1 << (n - 1)
-    total = ZERO
-    for index, amp in amps.items():
-        partner = amps.get(index ^ top)
-        if partner is not None:
-            total = total + amp.conjugate() * partner
-    return total.to_real()
+    k = max((v.k for v in amps.values()), default=0)
+    p = q = 0
+    for index, v in amps.items():
+        w, x, y, z = v.a, v.b, v.c, v.d
+        scale = -1 << (k - v.k) if index & top else 1 << (k - v.k)
+        p += (w * w + x * x + y * y + z * z) * scale
+        q += (w * x + x * y + y * z - z * w) * scale
+    return RealValue(Fraction(p, 1 << k), Fraction(q, 1 << k))
 
 
 class Verdict(namedtuple("Verdict", "e_zero e_plus ratio_rational conclusion")):

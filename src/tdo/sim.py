@@ -7,34 +7,35 @@ amplitudes (most circuits here are permutation+phase and keep basis
 inputs on a single branch).
 
 Both kernels compile a circuit once per call, each distinct gate once,
-over a layout that gives each simulated wire one index bit: a monomial gate
-becomes the bitmask moves (control mask, flip mask, omega exponent) of its
-`GATES` action, where a one-wire mask is the layout's own integer, shared
-by every gate on that wire, and h keeps the bit of its wire. An amplitude
-is four Python ints (a, b, c, d) over one denominator exponent k that the
-whole state shares, meaning (a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k.
-A phase omega^e is a signed rotation of the four ints; h adds and subtracts
-amplitude pairs and raises k by one, after which the whole state is divided
-by sqrt2 for as long as every amplitude allows it. RingScalar values are
-built only when the run ends, and their constructor normalises each
-amplitude, so results are canonical whatever k the run held. Nothing rounds.
+over one layout, its lanes: the wires that gates touch plus those on which
+the input varies, sorted, lane j at index bit lanes - 1 - j. A monomial
+gate becomes the bitmask moves (control mask, flip mask, omega exponent)
+of its `GATES` action, where a one-wire mask is the layout's own integer,
+shared by every gate on that wire, and h keeps the bit of its wire. An
+amplitude is four Python ints (a, b, c, d) over one denominator exponent k
+that the whole state shares, meaning (a + b*omega + c*omega^2 +
+d*omega^3) / sqrt2^k. A phase omega^e is a signed rotation of the four
+ints; h adds and subtracts amplitude pairs and raises k by one, after
+which the whole state is divided by sqrt2 for as long as every amplitude
+allows it. RingScalar values are built only when the run ends, and their
+constructor normalises each amplitude, so results are canonical whatever k
+the run held. Nothing rounds.
 
-State simulation (`apply_circuit`) runs over lanes: the wires that gates
-touch plus the wires on which the input's support varies; every other wire
-keeps its one value, so memory follows the lanes, not the state's width.
-Each h at most doubles the support, so when the input's support times
-2^(h count) stays under 2^lanes the state cannot fill its lanes, and the
-dict kernel `_run` runs it sparse, as it runs columns. Otherwise the state
-can turn dense, and it runs in `packed`: each of the four coefficients is
-one big integer with a W-bit two's-complement field per basis index of the
-lanes, 4 x 2^lanes x W bits in all. A gate is a handful of whole-integer
-operations with no carry between fields: a phase rotates the four integers
-inside a control mask, a controlled flip shifts the masked fields by
-2^p * W bits, and h adds and subtracts each field and its partner. The test
-for division by sqrt2 and the division itself act on every field at once.
-Fields start 16 bits wide, wider if an input coefficient needs it, and
-double before any h that could overflow one, so every input is simulated
-exactly.
+State simulation (`apply_circuit`) varies on its input's support; every
+other wire keeps its one value, so memory follows the lanes, not the
+state's width. Each h at most doubles the support, so when the input's
+support times 2^(h count) stays under 2^lanes the state cannot fill its
+lanes, and the dict kernel `_run` runs it sparse, as it runs columns.
+Otherwise the state can turn dense, and it runs in `packed`: each of the
+four coefficients is one big integer with a W-bit two's-complement field
+per basis index of the lanes, 4 x 2^lanes x W bits in all. A gate is a
+handful of whole-integer operations with no carry between fields: a phase
+rotates the four integers inside a control mask, a controlled flip shifts
+the masked fields by 2^p * W bits, and h adds and subtracts each field and
+its partner. The test for division by sqrt2 and the division itself act on
+every field at once. Fields start 16 bits wide, wider if an input
+coefficient needs it, and double before any h that could overflow one, so
+every input is simulated exactly.
 
 Operators are extracted as sparse columns, one `{index: amplitude}` dict
 per basis input, yielded in input order (`induced_columns`). With an h,
@@ -118,9 +119,14 @@ _ZERO_COEFFS = (0, 0, 0, 0)
 _GROUP_SUPPORT = 1 << 7
 
 
-def _compile(gates: Sequence[Gate], bit: Mapping[int, int]) -> list[CompiledGate]:
-    """One step per gate, each distinct gate compiled once; wire q is index bit bit[q]."""
+def _compile(
+    gates: Sequence[Gate], varying: Iterable[int]
+) -> tuple[list[int], list[CompiledGate]]:
+    """The lanes (the wires that gates touch plus `varying`, sorted; lane j is index
+    bit len(lanes) - 1 - j), then one step per gate, each distinct gate compiled once."""
     steps = dict.fromkeys(gates)
+    lanes = sorted({q for gate in steps for q in gate.qubits}.union(varying))
+    bit = {q: 1 << (len(lanes) - 1 - j) for j, q in enumerate(lanes)}
     for gate in steps:
         bits = [bit[q] for q in gate.qubits]
         action = GATES[gate.kind].action
@@ -130,7 +136,7 @@ def _compile(gates: Sequence[Gate], bit: Mapping[int, int]) -> list[CompiledGate
             steps[gate] = (0, tuple(
                 (_mask(bits, controls), _mask(bits, flips), e & 7) for controls, flips, e in action
             ))
-    return [steps[gate] for gate in gates]
+    return lanes, [steps[gate] for gate in gates]
 
 
 def _mask(bits: list[int], positions: Sequence[int]) -> int:
@@ -294,16 +300,8 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     varying = 0
     for i in amps:
         varying |= i ^ first
-    wires = {q for gate in c.gates for q in gate.qubits}
-    while varying:
-        lowest = varying & -varying
-        wires.add(n - lowest.bit_length())
-        varying ^= lowest
-    lanes = sorted(wires)
+    lanes, steps = _compile(c.gates, [q for q, bit in enumerate(f"{varying:0{n}b}") if bit == "1"])
     m = len(lanes)
-    # Lane j is field-index bit m - 1 - j, so fields keep the basis order.
-    bit = {q: 1 << (m - 1 - j) for j, q in enumerate(lanes)}
-    steps = _compile(c.gates, bit)
     cap = width_cap()
     dense = len(amps) << sum(1 for h, _ in steps if h) >= 1 << m
     if dense and m > cap:
@@ -449,11 +447,9 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
         yield from ({code >> 3: _OMEGA_POWERS[code & 7]} for code in codes)
         return
     dim = _main_inputs(c)
-    touched = sorted({q for gate in c.gates for q in gate.qubits if q >= c.n_main})
-    n, n_anc = c.n_main + len(touched), len(touched)
-    # The mains, then the touched ancillas, from the most significant bit down.
-    bit = {q: 1 << (n - 1 - p) for p, q in enumerate([*range(c.n_main), *touched])}
-    steps = _compile(c.gates, bit)
+    # A group of columns varies on the main wires: the mains, then the touched ancillas.
+    lanes, steps = _compile(c.gates, range(c.n_main))
+    n, n_anc = len(lanes), len(lanes) - c.n_main
     cap = width_cap()
     wires, anc_mask = (1 << n) - 1, (1 << n_anc) - 1
     # Columns run in groups of up to span inputs from start, input start + t

@@ -9,6 +9,8 @@ ExactMatrix) and the ancilla-contract, width-mismatch and width-cap
 exceptions are shared, so results compare with `==` and refusals by type
 and message.
 
+`x0_expectation` is the obstruction's X_0 expectation from an explicit
+|phi> (x) |0...0> input, an oracle for `tdo.obstruction.expectation_direct`.
 The rest is dense matrix algebra over those containers (products,
 adjoints, unitarity and shape checks), phase diagonals, the k-controlled
 X matrix, the single-qubit Clifford group, state norms, the exact sign of
@@ -95,6 +97,25 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     for gate in c.gates:
         amps = apply_gate(amps, gate, state.n)
     return ExactState(state.n, amps)
+
+
+def x0_expectation(c: Circuit, phi: str) -> RealValue:
+    """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), phi "zero" or "plus".
+
+    The input is built from explicit amplitudes (|+> on wire 0 is INV_SQRT2
+    at the two indices that differ there), and X_0 pairs each amplitude with
+    its partner across wire 0: the sum of conj(amp) * partner.
+    """
+    n = c.width
+    top = 1 << (n - 1)
+    start = {0: ONE} if phi == "zero" else {0: INV_SQRT2, top: INV_SQRT2}
+    amps = apply_circuit(ExactState(n, start), c).amps
+    total = ZERO
+    for index, amp in amps.items():
+        partner = amps.get(index ^ top)
+        if partner is not None:
+            total = total + amp.conjugate() * partner
+    return total.to_real()
 
 
 def induced_columns(c: Circuit, cap: int | None = None) -> list[dict[int, RingScalar]]:

@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import tdo.sim
 from tdo.circuit import GATES, Circuit, invert_gates
 from tdo.constructions import ccz_tdepth1
 from tdo.obstruction import (
@@ -23,7 +25,8 @@ from tdo.obstruction import (
     split_tdepth1,
 )
 from tdo.ring import INV_SQRT2, RealValue, RingScalar, ZERO, ratio_is_rational
-from tdo.sim import ExactMatrix, TooWide, induced_unitary
+from tdo.packed import run_packed
+from tdo.sim import ExactMatrix, ExactState, TooWide, WidthMismatch, apply_circuit, induced_unitary
 
 import reference_sim as ref
 from conftest import CLIFFORD_POOL, gate, random_gate, random_tdepth1_circuit
@@ -225,6 +228,62 @@ def test_direct_expectation_hadamard():
 def test_direct_expectation_width_cap():
     with pytest.raises(TooWide):
         expectation_direct(Circuit(13), "zero")
+
+
+def test_expectations_refuse_a_circuit_with_no_wires():
+    for phi in ("zero", "plus"):
+        with pytest.raises(WidthMismatch, match="wire 0"):
+            expectation_direct(Circuit(0), phi)
+        with pytest.raises(WidthMismatch, match="wire 0"):
+            expectation_pauli_path(split_tdepth1(Circuit(0)), phi)
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """A list that gains an entry each time `apply_circuit` runs the packed kernel."""
+    runs = []
+    monkeypatch.setattr(tdo.sim, "run_packed", lambda *args: runs.append(1) or run_packed(*args))
+    return runs
+
+
+def test_direct_equals_reference_on_random_circuits(monkeypatch, packed):
+    # Any gate mix, not only Clifford-T-Clifford, on every width up to 12:
+    # sparse circuits with few h, and dense ones that open with h on every
+    # wire. Both kernels run, and some values are irrational.
+    monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
+    rng = random.Random(21)
+    kinds = sorted(GATES)
+    sparse = [k for k in kinds if k != "h"]
+    kernels, irrational = set(), 0
+    for case in range(48):
+        width = 12 - case % 12
+        if case // 12 % 2:
+            gates = [gate("h", q) for q in range(width)]
+            gates += [random_gate(rng, width, kinds if rng.random() < 0.5 else ["h", "t"])
+                      for _ in range(rng.randint(1, 40))]
+        else:
+            gates = [random_gate(rng, width, sparse if rng.random() < 0.85 else ["h"])
+                     for _ in range(rng.randint(0, 60))]
+        n_main = rng.randint(1, width)
+        c = Circuit(n_main, width - n_main, tuple(gates))
+        for phi in ("zero", "plus"):
+            packed.clear()
+            value = expectation_direct(c, phi)
+            assert value == ref.x0_expectation(c, phi), (c, phi)
+            kernels.add(bool(packed))
+            irrational += not value.is_rational
+    assert kernels == {False, True}
+    assert irrational
+
+
+def test_direct_equals_reference_when_the_appended_h_packs_the_state(packed):
+    # On two lanes, one h leaves |0...0> sparse; the h that turns X_0 into
+    # Z_0 makes it two, enough to fill the lanes, so the run packs.
+    c = Circuit(1, 1, (gate("h", 0), gate("cx", 0, 1), gate("t", 1)))
+    apply_circuit(ExactState.basis(2, 0), c)
+    assert not packed
+    assert expectation_direct(c, "zero") == ref.x0_expectation(c, "zero")
+    assert packed
 
 
 def test_path_equals_direct_on_parity_network():
