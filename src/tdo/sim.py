@@ -47,22 +47,21 @@ Each input is tagged in index bits above every wire, which no compiled mask
 touches, so a group of up to _GROUP_SUPPORT inputs runs as one state with
 one k; RingScalar normalises each column at the end. A group that an h
 leaves with more than _GROUP_SUPPORT amplitudes (or 2^cap) splits in two by
-tag, and each half resumes after that h, the lower half first. A single
-column is capped like a sparse state, so refusals and their order are those
-of inputs run one by one. Groups run only while a tagged index fits a
-machine word; a wider layout runs each column alone, untagged. An
-h-free circuit runs once for all inputs, bit-sliced: each wire is one
-2^n_main-bit integer whose bit x is the wire's value on main-register input
-x, and the omega exponent mod 8 is three such bit-planes. A move ANDs its
-control wires into a mask, adds e times the mask into the planes with a
-3-bit ripple add, then XORs the mask into its flip wires, so a gate costs a
-few big-integer operations whatever n_main is. The slices take (main +
-touched ancilla wires) x 2^n_main bits. The ancilla contract stays
-exhaustive: the OR of the ancilla wires is zero exactly when every input
-restores them, and its lowest set bit is the first input that does not.
-Equivalence checking of two h-free circuits compares the slices
-themselves; otherwise it compares the two column streams pair by pair,
-holding one group's columns of each. Only `induced_unitary` densifies
+tag, and each half resumes after that h, the lower half first. A piece's
+tags count from its own first input, so a one-column piece runs untagged
+and is capped like a sparse state: refusals and their order are those of
+inputs run one by one. An h-free circuit runs once for all inputs,
+bit-sliced: each wire is one 2^n_main-bit integer whose bit x is the wire's
+value on main-register input x, and the omega exponent mod 8 is three such
+bit-planes. A move ANDs its control wires into a mask, adds e times the
+mask into the planes with a 3-bit ripple add, then XORs the mask into its
+flip wires, so a gate costs a few big-integer operations whatever n_main
+is. The slices take (main + touched ancilla wires) x 2^n_main bits. The
+ancilla contract stays exhaustive: the OR of the ancilla wires is zero
+exactly when every input restores them, and its lowest set bit is the first
+input that does not. Equivalence checking of two h-free circuits compares
+the slices themselves; otherwise it compares the two column streams pair by
+pair, holding one group's columns of each. Only `induced_unitary` densifies
 columns into an `ExactMatrix`.
 
 One width cap bounds the 2^n simulations, packed, bit-sliced or not: 12
@@ -77,7 +76,6 @@ than MAX_CAP, overrides it; `circuit.width_cap()` reads it on each use.
 
 from __future__ import annotations
 
-import sys
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -452,40 +450,37 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
     n, n_anc = len(lanes), len(lanes) - c.n_main
     cap = width_cap()
     wires, anc_mask = (1 << n) - 1, (1 << n_anc) - 1
-    # Columns run in groups of up to span inputs from start, input start + t
-    # at index t << n | (start + t) << n_anc: its tag t sits above every wire
-    # bit. Groups need a tagged index to fit a word; otherwise span is 1.
-    span = min(dim, _GROUP_SUPPORT) if _GROUP_SUPPORT << n <= sys.maxsize else 1
+    # Columns run in groups of up to span inputs. In a piece of count inputs
+    # from first, input first + t sits at index t << n | (first + t) << n_anc:
+    # its tag t counts from the piece's first input, above every wire bit, so
+    # a one-column piece is untagged.
+    span = min(dim, _GROUP_SUPPORT)
     for start in range(0, dim, span):
-        pending = [({t << n | (start + t) << n_anc: (1, 0, 0, 0) for t in range(span)}, 0, 0, 0, span)]
+        pending = [({t << n | (start + t) << n_anc: (1, 0, 0, 0) for t in range(span)}, 0, 0, start, span)]
         while pending:
-            # The columns of tags lo..hi-1, resuming at step at; a piece split
-            # off at step at > 0 holds what the h before that step left.
-            amps, k, at, lo, hi = pending.pop()
-            first, lone = start + lo, hi - lo == 1
-            if lone:  # drops its tag, to run as if it had run alone throughout
-                amps, lo, hi = {i & wires: v for i, v in amps.items()}, 0, 1
-            limit = 1 << cap if lone else min(_GROUP_SUPPORT, 1 << cap)
-            if not at or len(amps) <= limit:
+            # Resuming at step at; a piece split off at step at > 0 holds
+            # what the h before that step left.
+            amps, k, at, first, count = pending.pop()
+            limit = 1 << cap if count == 1 else min(_GROUP_SUPPORT, 1 << cap)
+            if len(amps) <= limit:
                 amps, k, at = _run(amps, k, steps, n, limit, at)
             if at is not None:
-                if lone:
+                if count == 1:
                     raise _support_exceeds(cap)
-                mid = (lo + hi) // 2
-                lower, upper = {}, {}
-                for i, v in amps.items():
-                    (lower if i >> n < mid else upper)[i] = v
-                pending += [(upper, k, at, mid, hi), (lower, k, at, lo, mid)]
+                half = count // 2
+                offset = half << n
+                lower = {i: v for i, v in amps.items() if i < offset}
+                upper = {i - offset: v for i, v in amps.items() if i >= offset}
+                pending += [(upper, k, at, first + half, count - half), (lower, k, at, first, half)]
                 continue
-            # Input first + j has tag lo + j.
-            leaked = [(i >> n) - lo for i in amps if i & anc_mask]
+            leaked = [i >> n for i in amps if i & anc_mask]
             if leaked:
                 raise AncillaContractViolated(first + min(leaked))
             columns = [amps]
-            if not lone:
-                columns = [{} for _ in range(lo, hi)]
+            if count > 1:
+                columns = [{} for _ in range(count)]
                 for i, v in amps.items():
-                    columns[(i >> n) - lo][i & wires] = v
+                    columns[i >> n][i & wires] = v
             for column in columns:
                 yield {i >> n_anc: RingScalar(*v, k) for i, v in column.items()}
 
@@ -537,6 +532,6 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
             raise
         if not x:
             j = next((j for j in range(8) if col1 == _rotated(col2, j)), None)
-        if j is not None and col1 != _rotated(col2, j):
+        elif j is not None and col1 != _rotated(col2, j):
             j = None
     return j

@@ -391,14 +391,26 @@ def test_grouped_columns_refuse_one_amplitude_past_the_cap(monkeypatch):
         next(columns)
 
 
-def test_grouped_columns_refuse_a_column_past_the_cap_at_its_groups_last_split(monkeypatch):
+def _padded(c, pad):
+    """c with pad more ancillas after its own, touched only by a cx chain among
+    themselves: a no-op on |0>, but it makes them lanes, so a tagged index
+    passes 63 bits at pad 60."""
+    chain = tuple(gate("cx", q, q + 1) for q in range(c.width, c.width + pad - 1))
+    return Circuit(c.n_main, c.n_anc + pad, c.gates + chain)
+
+
+_PADS = pytest.mark.parametrize("pad", [0, 60])
+
+
+@_PADS
+def test_grouped_columns_refuse_a_column_past_the_cap_at_its_groups_last_split(monkeypatch, pad):
     # Inputs 0 and 1 share a group of at most 2^3 amplitudes until the last
     # h. Input 0 builds the 5 amplitudes of the case above (with wire 0
     # inverted), which that h doubles to 10, and input 1 holds 4. Input 0
     # is refused though no h follows.
     monkeypatch.setenv("TDO_MAX_QUBITS", "3")
-    c = Circuit(1, 5, (gate("h", 1), gate("h", 2), gate("x", 0), gate("ccx", 0, 1, 4), gate("x", 0),
-                       gate("ccx", 4, 2, 3), gate("h", 2), gate("h", 5)))
+    c = _padded(Circuit(1, 5, (gate("h", 1), gate("h", 2), gate("x", 0), gate("ccx", 0, 1, 4),
+                               gate("x", 0), gate("ccx", 4, 2, 3), gate("h", 2), gate("h", 5))), pad)
     message = r"^state support exceeds 2\^3 amplitudes, the width cap$"
     with pytest.raises(TooWide, match=message):
         ref.induced_columns(c, 3)
@@ -414,9 +426,10 @@ def _counted_steps(monkeypatch):
     return calls
 
 
-def test_grouped_columns_report_the_lowest_leak_of_a_group(monkeypatch):
+@_PADS
+def test_grouped_columns_report_the_lowest_leak_of_a_group(monkeypatch, pad):
     # Inputs 1 and 3 leak, and all four inputs run as one group.
-    c = Circuit(2, 1, (gate("h", 2), gate("h", 2), gate("cx", 1, 2)))
+    c = _padded(Circuit(2, 1, (gate("h", 2), gate("h", 2), gate("cx", 1, 2))), pad)
     calls = _counted_steps(monkeypatch)
     with pytest.raises(AncillaContractViolated) as excinfo:
         list(sim.induced_columns(c))
@@ -436,15 +449,16 @@ def test_c1_refusal_wins_over_c2_refusal_in_an_earlier_group():
         assert excinfo.value.basis_input == leak
 
 
-@pytest.mark.parametrize("n_anc, runs", [(50, 1), (60, 4)], ids=["grouped", "alone"])
-def test_columns_run_alone_when_a_tagged_index_passes_a_word(monkeypatch, n_anc, runs):
+@pytest.mark.parametrize("n_anc", [50, 60])
+def test_columns_group_whatever_the_layout_width(monkeypatch, n_anc):
     # A 7-bit tag above 52 wires fits 63 bits; above 62 wires it does not.
+    # Either way the four inputs run as one group.
     fan = tuple(gate("cx", 1, q) for q in range(2, 2 + n_anc))
     restoring = Circuit(2, n_anc, (gate("h", 1),) + fan + fan[::-1] + (gate("h", 1), gate("t", 0)))
     leaking = Circuit(2, n_anc, restoring.gates + (gate("cx", 0, 1 + n_anc),))
     calls = _counted_steps(monkeypatch)
     assert list(sim.induced_columns(restoring)) == ref.induced_columns(restoring)
-    assert len(calls) == runs * len(restoring.gates)
+    assert len(calls) == len(restoring.gates)
     with pytest.raises(AncillaContractViolated) as excinfo:
         list(sim.induced_columns(leaking))
     assert excinfo.value.basis_input == 2
