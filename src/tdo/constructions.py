@@ -138,14 +138,13 @@ def cc_minus_ix(use_ancilla: bool = True) -> Circuit:
 
 def _check_controlled(g: Circuit) -> None:
     """Require the induced operator to be identity when qubit 0 is |0>."""
-    # Only add-control and controlled-t simulate; other emits load neither module.
-    from .ring import ONE
+    # Only add-control and controlled-t simulate; other emits do not load sim.
     from .sim import induced_columns
 
     if g.n_main < 1:
         raise NotAControlledCircuit("inner circuit has no main qubits")
     columns = induced_columns(g)
-    pure = all(col == {x: ONE} for x, col in zip(range(1 << (g.n_main - 1)), columns))
+    pure = all(col == ({x: (1, 0, 0, 0)}, 0) for x, col in zip(range(1 << (g.n_main - 1)), columns))
     deque(columns, maxlen=0)  # the ancilla contract is checked on every input first
     if not pure:
         raise NotAControlledCircuit("qubit 0 of the inner circuit is not a pure control")

@@ -101,7 +101,7 @@ class _Fields:
         return out
 
     def halved(self, slots: Sequence[int]) -> list[int] | None:
-        """Every field divided by sqrt2, or None if one is not divisible; see `sim._halved`."""
+        """Every field divided by sqrt2, or None if one is not divisible; see `sim._lowest`."""
         a, b, c, d = slots
         if ((a ^ c) | (b ^ d)) & self.ones:
             return None

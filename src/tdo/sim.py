@@ -17,9 +17,8 @@ that the whole state shares, meaning (a + b*omega + c*omega^2 +
 d*omega^3) / sqrt2^k. A phase omega^e is a signed rotation of the four
 ints; h adds and subtracts amplitude pairs and raises k by one, after
 which the whole state is divided by sqrt2 for as long as every amplitude
-allows it. RingScalar values are built only when the run ends, and their
-constructor normalises each amplitude, so results are canonical whatever k
-the run held. Nothing rounds.
+allows it. Columns leave as canonical tables; RingScalar appears only in
+`apply_circuit`'s ExactState and in `induced_unitary`. Nothing rounds.
 
 State simulation (`apply_circuit`) varies on its input's support; every
 other wire keeps its one value, so memory follows the lanes, not the
@@ -37,7 +36,7 @@ every field at once. Fields start 16 bits wide, wider if an input
 coefficient needs it, and double before any h that could overflow one, so
 every input is simulated exactly.
 
-Operators are extracted as sparse columns, one `{index: amplitude}` dict
+Operators are extracted as sparse columns, one canonical coefficient table
 per basis input, yielded in input order (`induced_columns`). With an h,
 the inputs run in groups through `_run`, whose state is a dict from basis
 index to coefficient tuple: a column is often a few amplitudes over
@@ -45,7 +44,7 @@ thousands of touched ancillas, which no dense layout could hold, and one
 kernel call per column per gate would cost more than the amplitudes do.
 Each input is tagged in index bits above every wire, which no compiled mask
 touches, so a group of up to _GROUP_SUPPORT inputs runs as one state with
-one k; RingScalar normalises each column at the end. A group that an h
+one k, and each column leaves at its own lowest k. A group that an h
 leaves with more than _GROUP_SUPPORT amplitudes (or 2^cap) splits in two by
 tag, and each half resumes after that h, the lower half first. A piece's
 tags count from its own first input, so a one-column piece runs untagged
@@ -81,7 +80,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, width_cap
 from .packed import run_packed, start_pattern
-from .ring import ONE, ROTATE, ZERO, RingScalar, omega_pow
+from .ring import ONE, ROTATE, ZERO, RingScalar
 
 
 class WidthMismatch(DomainError, ValueError):
@@ -107,8 +106,6 @@ class AncillaContractViolated(DomainError):
 # in order on the basis indices that hold every control bit.
 Move = tuple[int, int, int]
 CompiledGate = tuple[int, tuple[Move, ...]]
-
-_OMEGA_POWERS = tuple(omega_pow(e) for e in range(8))
 
 _ZERO_COEFFS = (0, 0, 0, 0)
 
@@ -187,18 +184,21 @@ def _hadamard(amps: dict[int, tuple], bit: int) -> dict[int, tuple]:
     return out
 
 
-def _halved(amps: dict[int, tuple]) -> dict[int, tuple] | None:
-    """Every amplitude divided by sqrt2, or None if one is not divisible.
+def _lowest(amps: dict[int, tuple], k: int) -> tuple[dict[int, tuple], int]:
+    """The amplitudes and k, divided by sqrt2 while k > 0 and every amplitude allows it.
 
     a + b*omega + c*omega^2 + d*omega^3 is divisible by sqrt2 in Z[omega]
-    exactly when a = c and b = d (mod 2); see ring._divide_by_sqrt2.
+    exactly when a = c and b = d (mod 2); see ring._divide_by_sqrt2. So the
+    result is canonical: k is 0, or some amplitude is not divisible.
     """
-    out = {}
-    for i, (a, b, c, d) in amps.items():
-        if ((a ^ c) | (b ^ d)) & 1:
-            return None
-        out[i] = ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
-    return out
+    while k:
+        halved = {}
+        for i, (a, b, c, d) in amps.items():
+            if ((a ^ c) | (b ^ d)) & 1:
+                return amps, k
+            halved[i] = ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
+        amps, k = halved, k - 1
+    return amps, k
 
 
 def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int, tuple]:
@@ -267,9 +267,7 @@ def _run(
         step = steps[at]
         amps = _apply_gate(amps, step, n)
         if step[0]:
-            k += 1
-            while k and (halved := _halved(amps)) is not None:
-                amps, k = halved, k - 1
+            amps, k = _lowest(amps, k + 1)
             if len(amps) > limit:
                 return amps, k, at + 1
     return amps, k, None
@@ -421,17 +419,19 @@ def _sliced(c: Circuit) -> tuple[list[int], tuple[int, ...]]:
     return [wires[q] for q in range(n)], planes
 
 
-def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
-    """One sparse column {output index: amplitude} per main-register input, in order.
+def induced_columns(c: Circuit) -> Iterator[tuple[dict[int, tuple], int]]:
+    """One canonical column ({index: (a, b, c, d)}, k) per main-register input, in order.
 
-    Ancillas start in |0>. Every input is simulated; AncillaContractViolated
-    reports the first whose output touches a nonzero ancilla pattern. The
-    main register is capped like state simulation (TooWide), and so is each
-    column's support. An h-free circuit is read off its bit-sliced run;
-    otherwise the inputs run in tagged groups that split after an h as they
-    grow (see the module docstring), and only the ancillas that gates touch
-    get a bit, after the mains. Either way refusals come at the first input
-    that would refuse if each ran alone.
+    Coefficients are over the lowest k at which all are integers; that k is
+    unique, so equal columns are equal pairs. Ancillas start in |0>. Every
+    input is simulated; AncillaContractViolated reports the first whose
+    output touches a nonzero ancilla pattern. The main register is capped
+    like state simulation (TooWide), and so is each column's support. An
+    h-free circuit is read off its bit-sliced run; otherwise the inputs run
+    in tagged groups that split after an h as they grow (see the module
+    docstring), and only the ancillas that gates touch get a bit, after the
+    mains. Either way refusals come at the first input that would refuse if
+    each ran alone.
     """
     if _h_free(c):
         mains, planes = _sliced(c)
@@ -442,7 +442,7 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
         for value in (*mains, *reversed(planes)):
             bits = reversed(format(value, f"0{lanes}b"))
             codes = [2 * code + (bit == "1") for code, bit in zip(codes, bits)]
-        yield from ({code >> 3: _OMEGA_POWERS[code & 7]} for code in codes)
+        yield from (({code >> 3: ROTATE[code & 7](1, 0, 0, 0)}, 0) for code in codes)
         return
     dim = _main_inputs(c)
     # A group of columns varies on the main wires: the mains, then the touched ancillas.
@@ -482,17 +482,18 @@ def induced_columns(c: Circuit) -> Iterator[dict[int, RingScalar]]:
                 for i, v in amps.items():
                     columns[i >> n][i & wires] = v
             for column in columns:
-                yield {i >> n_anc: RingScalar(*v, k) for i, v in column.items()}
+                yield _lowest({i >> n_anc: v for i, v in column.items()}, k)
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
     """`induced_columns` as a dense 2^n_main square matrix, capped before it is allocated."""
-    return ExactMatrix.from_columns(_main_inputs(c), induced_columns(c))
+    return ExactMatrix.from_columns(_main_inputs(c), (
+        {i: RingScalar(*v, k) for i, v in column.items()} for column, k in induced_columns(c)))
 
 
-def _rotated(column: Mapping[int, RingScalar], e: int) -> dict[int, RingScalar]:
-    """omega^e times a column, as rotations of its coefficients with no ring multiply."""
-    return {i: RingScalar(*ROTATE[e](v.a, v.b, v.c, v.d), v.k) for i, v in column.items()}
+def _rotated(column: tuple[dict[int, tuple], int], e: int) -> tuple[dict[int, tuple], int]:
+    """omega^e times a canonical column: a rotation of each table entry, k unchanged."""
+    return {i: ROTATE[e](*v) for i, v in column[0].items()}, column[1]
 
 
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
@@ -503,8 +504,8 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     the operators differ. Two h-free circuits are compared bit-sliced: equal
     main wires, and an exponent difference that is the same j on every
     lane, so each difference plane is all zeros or all ones. Otherwise j is
-    read off column 0, and the two column streams are compared pair by
-    pair, one group's columns of each held at a time.
+    read off column 0, and the two canonical column streams are compared
+    pair by pair as tables, one group's columns of each held at a time.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")

@@ -16,6 +16,12 @@ def gate(kind, *qubits):
     return Gate(kind, tuple(qubits))
 
 
+# Controlled-H on (0, 1). With wire 0 at |0> its columns are e_0 and e_1
+# at k 0; with wire 0 at |1> they are H's, at k 1.
+CONTROLLED_H = Circuit(2, 0, (gate("s", 1), gate("h", 1), gate("t", 1), gate("cx", 0, 1),
+                              gate("tdg", 1), gate("h", 1), gate("sdg", 1)))
+
+
 def gate_unitary(kind: str) -> ExactMatrix:
     """The library's matrix of one gate kind over its own wires."""
     n = GATES[kind].arity

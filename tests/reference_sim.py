@@ -9,8 +9,10 @@ ExactMatrix) and the ancilla-contract, width-mismatch and width-cap
 exceptions are shared, so results compare with `==` and refusals by type
 and message.
 
-`x0_expectation` is the obstruction's X_0 expectation from an explicit
-|phi> (x) |0...0> input, an oracle for `tdo.obstruction.expectation_direct`.
+`canonical` rewrites a RingScalar column in the coefficient-table form
+that `tdo.sim.induced_columns` yields. `x0_expectation` is the
+obstruction's X_0 expectation from an explicit |phi> (x) |0...0> input, an
+oracle for `tdo.obstruction.expectation_direct`.
 The rest is dense matrix algebra over those containers (products,
 adjoints, unitarity and shape checks), phase diagonals, the k-controlled
 X matrix, the single-qubit Clifford group, state norms, the exact sign of
@@ -139,6 +141,22 @@ def induced_columns(c: Circuit, cap: int | None = None) -> list[dict[int, RingSc
             raise AncillaContractViolated(x)
         columns.append({index >> c.n_anc: v for index, v in amps.items()})
     return columns
+
+
+def canonical(column: dict[int, RingScalar]) -> tuple[dict[int, tuple], int]:
+    """A column in `tdo.sim.induced_columns`' form: ({index: (a, b, c, d)}, k).
+
+    Each amplitude's coefficients are scaled to k, the largest k among the
+    amplitudes, by multiplying by sqrt2 = omega - omega^3 as often as needed.
+    """
+    k = max((v.k for v in column.values()), default=0)
+    out = {}
+    for i, v in column.items():
+        a, b, c, d = v.a, v.b, v.c, v.d
+        for _ in range(k - v.k):
+            a, b, c, d = b - d, a + c, b + d, c - a
+        out[i] = (a, b, c, d)
+    return out, k
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:

@@ -26,7 +26,7 @@ from tdo.sim import AncillaContractViolated, equivalence_phase, induced_unitary
 from tdo.text import parse
 
 import reference_sim as ref
-from conftest import FIXTURES, gate
+from conftest import CONTROLLED_H, FIXTURES, gate
 from test_cli import EMIT_SHA256
 
 # Oracles from the reference simulator, which does not read GATES.
@@ -159,6 +159,21 @@ def test_add_control_accepts_controlled_phase():
     # t fixes |0>, so a bare t wire is itself a controlled circuit.
     out = add_control(Circuit(1, 0, (gate("t", 0),)))
     assert induced_unitary(out) == CONTROLLED_T
+
+
+def test_add_control_accepts_controlled_h():
+    # Its lower-half columns are e_x at k 0, though they leave a group at k 1.
+    out = add_control(CONTROLLED_H)
+    cch = Circuit(3, 0, tuple(
+        gate("ccx", 0, 1, 2) if g.kind == "cx" else gate(g.kind, 2) for g in CONTROLLED_H.gates))
+    assert induced_unitary(out) == ref.induced_unitary(cch)
+
+
+@pytest.mark.parametrize("tail", ["z", "txtx"], ids=["minus-e_x", "omega-e_x"])
+def test_add_control_rejects_controlled_h_with_a_phase_on_its_lower_half(tail):
+    inner = Circuit(2, 0, CONTROLLED_H.gates + tuple(gate(kind, 1) for kind in tail))
+    with pytest.raises(NotAControlledCircuit, match="^qubit 0 of the inner circuit is not a pure control$"):
+        add_control(inner)
 
 
 @pytest.mark.parametrize("k, t_gates, stages", [(1, 0, 0), (2, 7, 1), (3, 15, 3), (4, 23, 3), (5, 31, 5)])

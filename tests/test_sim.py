@@ -28,7 +28,7 @@ from tdo.constructions import ccz_tdepth1, multi_controlled_x, toffoli_nc
 from tdo.rewriter import rewrite_budgeted
 
 import reference_sim as ref
-from conftest import MONOMIAL_POOL, gate, gate_unitary, random_gate
+from conftest import CONTROLLED_H, MONOMIAL_POOL, gate, gate_unitary, random_gate
 
 
 def test_gate_matrix_t_and_s():
@@ -346,8 +346,22 @@ _CAPS = pytest.mark.parametrize("cap", ["3", "4", "6", None], ids=["cap3", "cap4
 def test_grouped_columns_match_per_column_runs(cap, c):
     with _width_cap(cap) as limit:
         got = _outcome(lambda: list(sim.induced_columns(c)))
-        want = _outcome(lambda: ref.induced_columns(c, limit))
+        want = _outcome(lambda: list(map(ref.canonical, ref.induced_columns(c, limit))))
     assert got == want
+
+
+@_CAPS
+@settings(max_examples=100, deadline=None)
+@given(c=_h_circuits())
+def test_grouped_columns_are_canonical(cap, c):
+    # k is the lowest that keeps every coefficient an integer: 0, or some
+    # amplitude w + x*omega + y*omega^2 + z*omega^3 has w != y or x != z (mod 2).
+    with _width_cap(cap):
+        try:
+            for table, k in sim.induced_columns(c):
+                assert k == 0 or any(((w ^ y) | (x ^ z)) & 1 for w, x, y, z in table.values())
+        except (TooWide, AncillaContractViolated):
+            pass
 
 
 def _reference_phase(c1, c2, cap):
@@ -372,7 +386,7 @@ def test_grouped_columns_with_a_main_register_as_wide_as_the_cap(monkeypatch):
     every_h = tuple(gate("h", q) for q in range(3))
     c = Circuit(3, 1, every_h + (gate("t", 0), gate("ccx", 0, 1, 3), gate("cs", 3, 2))
                 + (gate("ccx", 0, 1, 3),) + every_h)
-    assert list(sim.induced_columns(c)) == ref.induced_columns(c, 3)
+    assert list(sim.induced_columns(c)) == list(map(ref.canonical, ref.induced_columns(c, 3)))
     with pytest.raises(TooWide, match=r"^state support exceeds 2\^3 amplitudes, the width cap$"):
         list(sim.induced_columns(Circuit(3, 1, every_h + (gate("h", 3),))))
 
@@ -384,7 +398,7 @@ def test_grouped_columns_refuse_one_amplitude_past_the_cap(monkeypatch):
     monkeypatch.setenv("TDO_MAX_QUBITS", "2")
     c = Circuit(2, 3, (gate("h", 1), gate("h", 2), gate("ccx", 0, 1, 4), gate("ccx", 4, 2, 3),
                        gate("h", 2)))
-    want = ref.induced_columns(Circuit(2, 3, c.gates[:2] + c.gates[-1:]), 2)
+    want = list(map(ref.canonical, ref.induced_columns(Circuit(2, 3, c.gates[:2] + c.gates[-1:]), 2)))
     columns = sim.induced_columns(c)
     assert [next(columns), next(columns)] == want[:2]
     with pytest.raises(TooWide, match=r"^state support exceeds 2\^2 amplitudes, the width cap$"):
@@ -457,8 +471,59 @@ def test_columns_group_whatever_the_layout_width(monkeypatch, n_anc):
     restoring = Circuit(2, n_anc, (gate("h", 1),) + fan + fan[::-1] + (gate("h", 1), gate("t", 0)))
     leaking = Circuit(2, n_anc, restoring.gates + (gate("cx", 0, 1 + n_anc),))
     calls = _counted_steps(monkeypatch)
-    assert list(sim.induced_columns(restoring)) == ref.induced_columns(restoring)
+    assert list(sim.induced_columns(restoring)) == list(map(ref.canonical, ref.induced_columns(restoring)))
     assert len(calls) == len(restoring.gates)
     with pytest.raises(AncillaContractViolated) as excinfo:
         list(sim.induced_columns(leaking))
     assert excinfo.value.basis_input == 2
+
+
+def _times_omega(c, q, j):
+    """c followed by (t x t x on wire q)^j: omega^j times c."""
+    return Circuit(c.n_main, c.n_anc, c.gates + j * tuple(gate(kind, q) for kind in "txtx"))
+
+
+def test_columns_leave_a_group_at_their_own_lowest_k():
+    # One group of four inputs, whose shared k is 1 after the last h.
+    assert list(sim.induced_columns(CONTROLLED_H)) == [
+        ({0: (1, 0, 0, 0)}, 0), ({1: (1, 0, 0, 0)}, 0),
+        ({2: (1, 0, 0, 0), 3: (1, 0, 0, 0)}, 1), ({2: (1, 0, 0, 0), 3: (-1, 0, 0, 0)}, 1),
+    ]
+
+
+def test_equivalence_phase_of_one_operator_split_into_different_groups(monkeypatch):
+    # Under cap 3 CONTROLLED_H runs as one group. With h on an ancilla around
+    # it, the first h on wire 1 leaves 16 amplitudes, past 2^3, so that form
+    # splits into two pieces of two inputs, which leave at k 0 and k 1.
+    monkeypatch.setenv("TDO_MAX_QUBITS", "3")
+    split = Circuit(2, 1, (gate("h", 2),) + CONTROLLED_H.gates + (gate("h", 2),))
+    for c, steps in ((CONTROLLED_H, 7), (split, 3 + 2 * 6)):
+        calls = _counted_steps(monkeypatch)
+        assert list(sim.induced_columns(c)) == list(map(ref.canonical, ref.induced_columns(c, 3)))
+        assert len(calls) == steps
+    assert equivalence_phase(CONTROLLED_H, split) == 0
+    assert equivalence_phase(split, CONTROLLED_H) == 0
+    assert equivalence_phase(split, _times_omega(CONTROLLED_H, 1, 3)) == 5
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_equivalence_phase_of_omega_multiples(j):
+    # h z h is x: h_path holds h and h_free does not, so that pair is mixed.
+    h_free = Circuit(2, 0, (gate("t", 0), gate("x", 1), gate("cs", 1, 0)))
+    h_path = Circuit(2, 0, (gate("t", 0), gate("h", 1), gate("z", 1), gate("h", 1), gate("cs", 1, 0)))
+    for c, other in ((CONTROLLED_H, CONTROLLED_H), (h_free, h_path), (h_path, h_free)):
+        phased = _times_omega(c, 1, j)
+        assert equivalence_phase(phased, other) == j
+        assert equivalence_phase(other, phased) == (8 - j) % 8
+
+
+def test_equivalence_phase_of_operators_that_differ_by_a_sign_in_one_column():
+    # cz first negates the last column of CONTROLLED_H; with x on both wires
+    # around it, column 0 instead, from which j = 4 is read.
+    flip = (gate("x", 0), gate("x", 1))
+    last = Circuit(2, 0, (gate("cz", 0, 1),) + CONTROLLED_H.gates)
+    first = Circuit(2, 0, flip + (gate("cz", 0, 1),) + flip + CONTROLLED_H.gates)
+    for c in (last, first):
+        assert ref.equivalence_phase(CONTROLLED_H, c) is None
+        assert equivalence_phase(CONTROLLED_H, c) is None
+        assert equivalence_phase(c, CONTROLLED_H) is None
