@@ -240,25 +240,22 @@ def expectation_direct(c: Circuit, phi: str) -> RealValue:
     """<psi| X_0 |psi> for psi = c(|phi> (x) |0...0>), by simulation.
 
     The sum of +-|amplitude|^2, minus where wire 0 holds 1, is two integers
-    over one 2^k: |(w + x*omega + y*omega^2 + z*omega^3)/sqrt2^k|^2 is
-    (w^2 + x^2 + y^2 + z^2 + (wx + xy + yz - zw)*sqrt2) / 2^k. TooWide is
-    raised before anything is simulated when the declared width (main plus
-    ancillas) is over the width cap, even if the gates touch only a few
-    wires.
+    over the state's 2^k: |(w + x*omega + y*omega^2 + z*omega^3)/sqrt2^k|^2 is
+    (w^2 + x^2 + y^2 + z^2 + (wx + xy + yz - zw)*sqrt2) / 2^k. TooWide is raised
+    before anything is simulated when the declared width (main plus ancillas)
+    is over the width cap, even if the gates touch only a few wires.
     """
     n = c.width
     if n > width_cap():
         raise TooWide(f"{n} qubits exceeds the simulation width cap")
     run = c._replace(gates=_preparation(phi, n) + c.gates + (_H0,))
-    amps = apply_circuit(ExactState.basis(n, 0), run).amps
+    _, amps, k = apply_circuit(ExactState.basis(n, 0), run)
     top = 1 << (n - 1)
-    k = max((v.k for v in amps.values()), default=0)
     p = q = 0
-    for index, v in amps.items():
-        w, x, y, z = v.a, v.b, v.c, v.d
-        scale = -1 << (k - v.k) if index & top else 1 << (k - v.k)
-        p += (w * w + x * x + y * y + z * z) * scale
-        q += (w * x + x * y + y * z - z * w) * scale
+    for index, (w, x, y, z) in amps.items():
+        sign = -1 if index & top else 1
+        p += (w * w + x * x + y * y + z * z) * sign
+        q += (w * x + x * y + y * z - z * w) * sign
     return RealValue(Fraction(p, 1 << k), Fraction(q, 1 << k))
 
 

@@ -17,8 +17,8 @@ that the whole state shares, meaning (a + b*omega + c*omega^2 +
 d*omega^3) / sqrt2^k. A phase omega^e is a signed rotation of the four
 ints; h adds and subtracts amplitude pairs and raises k by one, after
 which the whole state is divided by sqrt2 for as long as every amplitude
-allows it. Columns leave as canonical tables; RingScalar appears only in
-`apply_circuit`'s ExactState and in `induced_unitary`. Nothing rounds.
+allows it. States and columns hold that canonical table as it is, and
+RingScalar appears only in `induced_unitary`. Nothing rounds.
 
 State simulation (`apply_circuit`) varies on its input's support; every
 other wire keeps its one value, so memory follows the lanes, not the
@@ -80,7 +80,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, width_cap
 from .packed import run_packed, start_pattern
-from .ring import ONE, ROTATE, ZERO, RingScalar
+from .ring import ROTATE, ZERO, RingScalar
 
 
 class WidthMismatch(DomainError, ValueError):
@@ -219,22 +219,25 @@ def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int,
     return amps
 
 
-class ExactState(namedtuple("ExactState", "n amps")):
+class ExactState(namedtuple("ExactState", "n amps k")):
     """An n-qubit state vector with exact amplitudes.
 
-    ``amps`` maps each basis index to its nonzero amplitude; amplitudes
-    that cancel are dropped, so two states are equal iff they are the same
-    vector.
+    ``amps`` maps each basis index to the coefficients (a, b, c, d) of its nonzero
+    amplitude over sqrt2^k, an `induced_columns` column's form. Zero tuples are
+    dropped and k lowered as far as it goes, so two states are equal iff they
+    are the same vector.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, amps: Mapping[int, RingScalar]) -> ExactState:
-        amps = {i: v for i, v in amps.items() if v}
+    def __new__(cls, n: int, amps: Mapping[int, tuple], k: int) -> ExactState:
+        amps = {i: v for i, v in amps.items() if v != _ZERO_COEFFS}
         for i in amps:
             if not 0 <= i < 1 << n:
                 raise ValueError(f"basis index {i} out of range")
-        return super().__new__(cls, n, amps)
+        if k < 0:
+            raise ValueError(f"denominator exponent {k} is negative")
+        return super().__new__(cls, n, *_lowest(amps, k))
 
     @classmethod
     def _make(cls, fields: Iterable) -> ExactState:
@@ -242,14 +245,14 @@ class ExactState(namedtuple("ExactState", "n amps")):
 
     @classmethod
     def basis(cls, n: int, index: int) -> ExactState:
-        return cls(n, {index: ONE})
+        return cls(n, {index: (1, 0, 0, 0)}, 0)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.amps.items()))))
+        return hash((self.n, tuple(sorted(self.amps.items())), self.k))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{i}: {v}" for i, v in sorted(self.amps.items()))
-        return f"ExactState({self.n}, {{{inside}}})"
+        return f"ExactState({self.n}, {{{inside}}}, {self.k})"
 
 
 def _run(
@@ -280,18 +283,19 @@ def _support_exceeds(cap: int) -> TooWide:
 def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     """Run the gate list over the state; exact amplitudes, new state.
 
-    Only the lanes are simulated: the wires that gates touch or on which the
-    state's support varies. Every other wire keeps its one value. Each h at
-    most doubles the support, so the state can fill its 2^lanes fields only
-    when its support times 2^(h count) reaches that: then the packed kernel
-    runs, and TooWide is raised before anything is allocated when there are
-    more lanes than width_cap(). Otherwise the support stays sparse and the
-    dict kernel runs it, raising TooWide once an h leaves more than
-    2^width_cap() nonzero amplitudes.
+    The state's table and k go to the kernels as they are, and the output's
+    come back as the new state. Only the lanes are simulated: the wires that
+    gates touch or on which the state's support varies. Every other wire
+    keeps its one value. Each h at most doubles the support, so the state
+    can fill its 2^lanes fields only when its support times 2^(h count)
+    reaches that: then the packed kernel runs, and TooWide is raised before
+    anything is allocated when there are more lanes than width_cap().
+    Otherwise the support stays sparse and the dict kernel runs it, raising
+    TooWide once an h leaves more than 2^width_cap() nonzero amplitudes.
     """
     if state.n != c.width:
         raise WidthMismatch(f"state has {state.n} qubits but the circuit needs {c.width}")
-    n, amps = state.n, state.amps
+    n, amps, k = state
     first = next(iter(amps), 0)
     varying = 0
     for i in amps:
@@ -303,13 +307,12 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     if dense and m > cap:
         raise TooWide(f"state simulation over {m} wires exceeds the width cap of {cap}")
     shifts = [n - 1 - q for q in lanes]
-    k = max((v.k for v in amps.values()), default=0)
     fields = {}
     for i, v in amps.items():
         f = 0
         for s in shifts:
             f = f << 1 | i >> s & 1
-        fields[f] = v._scaled(k - v.k)
+        fields[f] = v
     if dense:
         fields, k = run_packed(fields, k, steps, m)
     else:
@@ -322,8 +325,8 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
         i = constant
         for j, s in enumerate(shifts):
             i |= (f >> (m - 1 - j) & 1) << s
-        out[i] = RingScalar(*v, k)
-    return ExactState(n, out)
+        out[i] = v
+    return ExactState(n, out, k)
 
 
 class ExactMatrix(namedtuple("ExactMatrix", "rows")):
@@ -476,13 +479,11 @@ def induced_columns(c: Circuit) -> Iterator[tuple[dict[int, tuple], int]]:
             leaked = [i >> n for i in amps if i & anc_mask]
             if leaked:
                 raise AncillaContractViolated(first + min(leaked))
-            columns = [amps]
-            if count > 1:
-                columns = [{} for _ in range(count)]
-                for i, v in amps.items():
-                    columns[i >> n][i & wires] = v
+            columns = [{} for _ in range(count)]
+            for i, v in amps.items():
+                columns[i >> n][(i & wires) >> n_anc] = v
             for column in columns:
-                yield _lowest({i >> n_anc: v for i, v in column.items()}, k)
+                yield _lowest(column, k)
 
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
@@ -492,7 +493,9 @@ def induced_unitary(c: Circuit) -> ExactMatrix:
 
 
 def _rotated(column: tuple[dict[int, tuple], int], e: int) -> tuple[dict[int, tuple], int]:
-    """omega^e times a canonical column: a rotation of each table entry, k unchanged."""
+    """omega^e times a canonical column: each entry rotated, k unchanged; e = 0 copies none."""
+    if not e:
+        return column
     return {i: ROTATE[e](*v) for i, v in column[0].items()}, column[1]
 
 

@@ -10,7 +10,10 @@ exceptions are shared, so results compare with `==` and refusals by type
 and message.
 
 `canonical` rewrites a RingScalar column in the coefficient-table form
-that `tdo.sim.induced_columns` yields. `x0_expectation` is the
+that `tdo.sim.induced_columns` yields and an ExactState holds; `state`
+builds an ExactState from RingScalar amplitudes that way, and `scalars`
+reads one back as RingScalars, so the reference kernel runs on RingScalars
+alone. `x0_expectation` is the
 obstruction's X_0 expectation from an explicit |phi> (x) |0...0> input, an
 oracle for `tdo.obstruction.expectation_direct`.
 The rest is dense matrix algebra over those containers (products,
@@ -22,7 +25,7 @@ a RealValue, and the plain per-wire loop of the scheduled T-depth metric.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from tdo.circuit import GATES, Circuit, Gate
@@ -93,12 +96,22 @@ def apply_gate(amps: dict[int, RingScalar], gate: Gate, n: int) -> dict[int, Rin
     raise ValueError(f"unsupported gate kind {kind!r}")
 
 
-def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
-    assert state.n == c.width
-    amps = state.amps
+def state(n: int, amps: Mapping[int, RingScalar]) -> ExactState:
+    """The n-qubit ExactState of RingScalar amplitudes."""
+    return ExactState(n, *canonical(amps))
+
+
+def scalars(psi: ExactState) -> dict[int, RingScalar]:
+    """The amplitudes of an ExactState as RingScalars."""
+    return {i: RingScalar(*v, psi.k) for i, v in psi.amps.items()}
+
+
+def apply_circuit(psi: ExactState, c: Circuit) -> ExactState:
+    assert psi.n == c.width
+    amps = scalars(psi)
     for gate in c.gates:
-        amps = apply_gate(amps, gate, state.n)
-    return ExactState(state.n, amps)
+        amps = apply_gate(amps, gate, psi.n)
+    return state(psi.n, amps)
 
 
 def x0_expectation(c: Circuit, phi: str) -> RealValue:
@@ -111,7 +124,7 @@ def x0_expectation(c: Circuit, phi: str) -> RealValue:
     n = c.width
     top = 1 << (n - 1)
     start = {0: ONE} if phi == "zero" else {0: INV_SQRT2, top: INV_SQRT2}
-    amps = apply_circuit(ExactState(n, start), c).amps
+    amps = scalars(apply_circuit(state(n, start), c))
     total = ZERO
     for index, amp in amps.items():
         partner = amps.get(index ^ top)
@@ -143,7 +156,7 @@ def induced_columns(c: Circuit, cap: int | None = None) -> list[dict[int, RingSc
     return columns
 
 
-def canonical(column: dict[int, RingScalar]) -> tuple[dict[int, tuple], int]:
+def canonical(column: Mapping[int, RingScalar]) -> tuple[dict[int, tuple], int]:
     """A column in `tdo.sim.induced_columns`' form: ({index: (a, b, c, d)}, k).
 
     Each amplitude's coefficients are scaled to k, the largest k among the
@@ -309,9 +322,9 @@ def single_qubit_cliffords() -> tuple[ExactMatrix, ...]:
     return tuple(seen)
 
 
-def norm_squared(state: ExactState) -> RingScalar:
+def norm_squared(psi: ExactState) -> RingScalar:
     total = ZERO
-    for v in state.amps.values():
+    for v in scalars(psi).values():
         total = total + v * v.conjugate()
     return total
 

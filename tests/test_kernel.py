@@ -50,7 +50,7 @@ def circuits_with_states(draw):
     n = draw(st.integers(1, 5))
     gates = [_draw_gate(draw, range(n), ALL_KINDS) for _ in range(draw(st.integers(0, 30)))]
     amps = draw(st.dictionaries(st.integers(0, (1 << n) - 1), scalars, max_size=1 << n))
-    return Circuit(n, 0, tuple(gates)), ExactState(n, amps)
+    return Circuit(n, 0, tuple(gates)), ref.state(n, amps)
 
 
 @st.composite
@@ -166,7 +166,7 @@ def circuits_on_some_wires(draw):
     kinds = ALL_KINDS + ["h"] * 6
     gates = [_draw_gate(draw, touched, kinds) for _ in range(draw(st.integers(0, 40)))]
     amps = draw(st.dictionaries(st.integers(0, (1 << n) - 1), wide_scalars, max_size=1 << n))
-    return Circuit(n, 0, tuple(gates)), ExactState(n, amps)
+    return Circuit(n, 0, tuple(gates)), ref.state(n, amps)
 
 
 @settings(max_examples=200)
@@ -175,17 +175,29 @@ def circuits_on_some_wires(draw):
 # third h overflows one.
 @example((
     Circuit(2, 0, (gate("h", 1), gate("h", 0), gate("h", 1))),
-    ExactState(2, {0: RingScalar(8190, 8190, -1, 8190), 2: RingScalar(8190, 8190, 8190, 8190)}),
+    ExactState(2, {0: (8190, 8190, -1, 8190), 2: (8190, 8190, 8190, 8190)}, 0),
 ))
 # The support varies on wire 0, which no gate touches; the two h gates
 # can spread it over all three lanes, so the packed kernel runs it.
 @example((
     Circuit(3, 0, (gate("h", 2), gate("h", 1), gate("cx", 2, 1), gate("t", 1))),
-    ExactState(3, {0: ONE, 4: RingScalar(0, 1 << 100, 0, 0, 3)}),
+    ref.state(3, {0: ONE, 4: RingScalar(0, 1 << 100, 0, 0, 3)}),
 ))
 def test_apply_circuit_matches_reference_on_wide_coefficients(case):
     c, state = case
     assert apply_circuit(state, c) == ref.apply_circuit(state, c)
+
+
+@given(circuits_on_some_wires(), st.integers(0, 3))
+@example((Circuit(1), ExactState.basis(1, 0)), 1)
+def test_apply_circuit_output_is_canonical(case, doublings):
+    # k is the lowest that keeps every coefficient an integer: 0, or some
+    # amplitude w + x*omega + y*omega^2 + z*omega^3 has w != y or x != z (mod 2).
+    # The input is given over a k raised by 2 * doublings, which it must not keep.
+    c, state = case
+    raised = {i: tuple(x << doublings for x in v) for i, v in state.amps.items()}
+    _, amps, k = apply_circuit(ExactState(state.n, raised, state.k + 2 * doublings), c)
+    assert k == 0 or any(((w ^ y) | (x ^ z)) & 1 for w, x, y, z in amps.values())
 
 
 @given(ancilla_circuits(ALL_KINDS))
@@ -337,7 +349,7 @@ def test_apply_circuit_caps_the_lanes_it_can_fill(monkeypatch):
     # A state whose h gates can spread it over every lane must fit the cap;
     # one they cannot spread that far answers past it, as its support allows.
     monkeypatch.setenv("TDO_MAX_QUBITS", "2")
-    state = ExactState(3, {0: ONE, 4: ONE})
+    state = ExactState(3, {0: (1, 0, 0, 0), 4: (1, 0, 0, 0)}, 0)
     for c in [
         Circuit(3, 0, (gate("h", 2),)),
         Circuit(3, 0, (gate("x", 1), gate("x", 2))),
@@ -346,7 +358,7 @@ def test_apply_circuit_caps_the_lanes_it_can_fill(monkeypatch):
         assert apply_circuit(state, c) == ref.apply_circuit(state, c)
     with pytest.raises(TooWide):
         apply_circuit(state, Circuit(3, 0, (gate("h", 1), gate("h", 2))))
-    spread = ExactState(3, {0: ONE, 7: ONE})
+    spread = ExactState(3, {0: (1, 0, 0, 0), 7: (1, 0, 0, 0)}, 0)
     assert apply_circuit(spread, Circuit(3)) == spread
 
 
@@ -354,7 +366,8 @@ def test_apply_circuit_keeps_sparse_states_sparse(monkeypatch):
     # 20 lanes at the default cap: the support never exceeds 4 amplitudes.
     monkeypatch.delenv("TDO_MAX_QUBITS", raising=False)
     chain = tuple(gate("cx", q - 1, q) for q in range(1, 20))
-    for state in [ExactState.basis(20, 1 << 19), ExactState(20, {0: ONE, 1 << 19: ONE})]:
+    pair = ExactState(20, {0: (1, 0, 0, 0), 1 << 19: (1, 0, 0, 0)}, 0)
+    for state in [ExactState.basis(20, 1 << 19), pair]:
         for c in [
             Circuit(20, 0, chain),
             Circuit(20, 0, (gate("h", 0), *chain, gate("t", 19), gate("h", 5))),
@@ -382,11 +395,10 @@ def test_apply_circuit_checks_lanes_before_allocating():
     # only from the support.
     script = (
         "from tdo.circuit import Circuit, Gate\n"
-        "from tdo.ring import ONE\n"
         "from tdo.sim import ExactState, TooWide, apply_circuit\n"
         "cases = [\n"
         "    (ExactState.basis(27, 0), Circuit(27, 0, tuple(Gate('h', (q,)) for q in range(27)))),\n"
-        "    (ExactState(27, {0: ONE, 1 << 26: ONE}),\n"
+        "    (ExactState(27, {0: (1, 0, 0, 0), 1 << 26: (1, 0, 0, 0)}, 0),\n"
         "     Circuit(27, 0, tuple(Gate('h', (q,)) for q in range(1, 27)))),\n"
         "]\n"
         "for state, c in cases:\n"

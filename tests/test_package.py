@@ -52,10 +52,11 @@ def _error(build):
 @pytest.mark.parametrize("value, field, bad, message", [
     (Circuit(1, 0, (Gate("t", (0,)),)), "gates", (Gate("zz", (5,)),), "unknown gate kind 'zz'"),
     (PauliString(1, ("X",)), "sign", 2, "sign must be +1 or -1"),
-    (ExactState.basis(2, 1), "amps", {9: ONE}, "basis index 9 out of range"),
+    (ExactState.basis(2, 1), "amps", {9: (1, 0, 0, 0)}, "basis index 9 out of range"),
+    (ExactState.basis(2, 1), "k", -1, "denominator exponent -1 is negative"),
     (ExactMatrix([[ONE]]), "rows", [[ONE, ONE]], "matrix must be square"),
     (RealValue(1, 2), "p", 0.1, "RealValue parts must be exact rationals"),
-], ids=["circuit", "pauli", "state", "matrix", "real"])
+], ids=["circuit", "pauli", "state", "state-k", "matrix", "real"])
 def test_replace_and_make_check_fields_like_the_constructor(value, field, bad, message):
     cls = type(value)
     fields = {**value._asdict(), field: bad}

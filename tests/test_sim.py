@@ -56,7 +56,7 @@ def test_apply_x_and_t():
     assert flipped == ExactState.basis(1, 1)
     for x in (0, 1):
         out = apply_circuit(ExactState.basis(1, x), Circuit(1, 0, (gate("t", 0),)))
-        assert out.amps[x] == omega_pow(x)
+        assert ref.scalars(out)[x] == omega_pow(x)
 
 
 def test_width_mismatch():
@@ -71,10 +71,10 @@ def test_equivalence_of_different_main_registers_raises(gates):
 
 
 @pytest.mark.parametrize("value, same, field, text", [
-    (ExactState.basis(2, 1), ExactState(2, {0: ZERO, 1: RingScalar(2, 0, 0, 0, 2)}), "n",
-     "ExactState(2, {1: (1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^0})"),
-    (ExactState.basis(2, 1), ExactState(2, {1: ONE}), "amps",
-     "ExactState(2, {1: (1 + 0*w + 0*w^2 + 0*w^3)/sqrt2^0})"),
+    (ExactState.basis(2, 1), ExactState(2, {0: (0, 0, 0, 0), 1: (2, 0, 0, 0)}, 2), "n",
+     "ExactState(2, {1: (1, 0, 0, 0)}, 0)"),
+    (ExactState.basis(2, 1), ExactState(2, {1: (1, 0, 0, 0)}, 0), "amps",
+     "ExactState(2, {1: (1, 0, 0, 0)}, 0)"),
     (ExactMatrix([[ONE, ZERO], [ZERO, OMEGA]]), ExactMatrix.from_columns(2, [{0: ONE}, {1: OMEGA}]),
      "rows", "ExactMatrix(dim=2)"),
     (RealValue(Fraction(1, 2), 3), RealValue(Fraction(2, 4), Fraction(3)), "p",
@@ -92,6 +92,20 @@ def test_exact_values_copy_hash_and_stay_immutable(value, same, field, text):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert repr(value) == text
+
+
+def test_state_lowers_k_so_equal_vectors_compare_and_hash_equal():
+    # 2/sqrt2^2 is 1.
+    halved = ExactState(1, {0: (2, 0, 0, 0)}, 2)
+    assert halved == ExactState.basis(1, 0)
+    assert hash(halved) == hash(ExactState.basis(1, 0))
+    assert halved.k == 0
+
+
+def test_state_drops_all_zero_coefficients():
+    state = ExactState(2, {0: (0, 0, 0, 0), 3: (0, 1, 0, 0)}, 0)
+    assert state.amps == {3: (0, 1, 0, 0)}
+    assert ExactState(2, {1: (0, 0, 0, 0)}, 3) == ExactState(2, {}, 0)
 
 
 def test_parity_fanout_network_wire_labels():
@@ -362,6 +376,27 @@ def test_grouped_columns_are_canonical(cap, c):
                 assert k == 0 or any(((w ^ y) | (x ^ z)) & 1 for w, x, y, z in table.values())
         except (TooWide, AncillaContractViolated):
             pass
+
+
+@st.composite
+def _ancilla_free_h_circuits(draw):
+    """1-5 wires, no ancillas, random gates around at least one h."""
+    n = draw(st.integers(1, 5))
+    kinds = [kind for kind in GATES if GATES[kind].arity <= n] + ["h"] * 4
+    gates = [Gate(kind, tuple(draw(st.permutations(range(n)))[:GATES[kind].arity]))
+             for kind in draw(st.lists(st.sampled_from(kinds), max_size=20))]
+    gates.insert(draw(st.integers(0, len(gates))), Gate("h", (draw(st.integers(0, n - 1)),)))
+    return Circuit(n, 0, tuple(gates))
+
+
+@settings(deadline=None)
+@given(c=_ancilla_free_h_circuits())
+def test_columns_are_the_states_of_basis_inputs(c):
+    # induced_columns and apply_circuit share one format: column x, k included, is c on |x>.
+    for x, column in enumerate(sim.induced_columns(c)):
+        state = apply_circuit(ExactState.basis(c.n_main, x), c)
+        assert ExactState(c.n_main, *column) == state
+        assert column == (state.amps, state.k)
 
 
 def _reference_phase(c1, c2, cap):
