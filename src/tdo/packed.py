@@ -7,7 +7,8 @@ coefficient in w-bit two's complement. Field arithmetic is carry-free (no
 carry or borrow crosses a field boundary), so a gate is a handful of
 whole-integer operations on the four slots, whatever m is. Fields start 16
 bits wide, wider if an input coefficient needs it, and double before any h
-that could overflow one, so the kernel is exact for every input.
+that could overflow one, so the kernel is exact for every input. `ROTATE`,
+the omega^e rotation of one amplitude that both kernels apply, lives here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import compress
 
-from .ring import ROTATE
+# omega^e * (a + b*omega + c*omega^2 + d*omega^3), using omega^4 = -1.
+ROTATE = (
+    lambda a, b, c, d: (a, b, c, d),
+    lambda a, b, c, d: (-d, a, b, c),
+    lambda a, b, c, d: (-c, -d, a, b),
+    lambda a, b, c, d: (-b, -c, -d, a),
+    lambda a, b, c, d: (-a, -b, -c, -d),
+    lambda a, b, c, d: (d, -a, -b, -c),
+    lambda a, b, c, d: (c, d, -a, -b),
+    lambda a, b, c, d: (b, c, d, -a),
+)
 
 # For each omega^e, the signed source of each slot: slot i of the rotated
 # value is slot abs(j) - 1 of the old one, negated when j < 0.

@@ -1,9 +1,11 @@
 """Exact arithmetic in Z[1/sqrt2, omega] with omega = exp(i*pi/4).
 
 Every scalar appearing in Clifford+T simulation lives in this ring, so
-equality, realness, and rationality all have exact answers. A value is
-stored as four integer coefficients over the basis (1, omega, omega^2,
-omega^3) together with a denominator exponent k:
+equality, realness, and rationality all have exact answers. The kernels
+compute on bare coefficient tuples; this module holds the scalar of dense
+matrices and of the tests' oracle, and `obstruct`'s exact real values. A
+value is stored as four integer coefficients over the basis (1, omega,
+omega^2, omega^3) together with a denominator exponent k:
 
     value = (a + b*omega + c*omega^2 + d*omega^3) / sqrt2^k
 
@@ -38,19 +40,6 @@ def _divide_by_sqrt2(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int
 
 def _times_sqrt2(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     return b - d, a + c, b + d, c - a
-
-
-# omega^e * (a + b*omega + c*omega^2 + d*omega^3), using omega^4 = -1.
-ROTATE = (
-    lambda a, b, c, d: (a, b, c, d),
-    lambda a, b, c, d: (-d, a, b, c),
-    lambda a, b, c, d: (-c, -d, a, b),
-    lambda a, b, c, d: (-b, -c, -d, a),
-    lambda a, b, c, d: (-a, -b, -c, -d),
-    lambda a, b, c, d: (d, -a, -b, -c),
-    lambda a, b, c, d: (c, d, -a, -b),
-    lambda a, b, c, d: (b, c, d, -a),
-)
 
 
 class RingScalar:

@@ -17,8 +17,8 @@ that the whole state shares, meaning (a + b*omega + c*omega^2 +
 d*omega^3) / sqrt2^k. A phase omega^e is a signed rotation of the four
 ints; h adds and subtracts amplitude pairs and raises k by one, after
 which the whole state is divided by sqrt2 for as long as every amplitude
-allows it. States and columns hold that canonical table as it is, and
-RingScalar appears only in `induced_unitary`. Nothing rounds.
+allows it. States and columns hold that canonical table as it is, and only
+`induced_unitary` and `ExactMatrix.from_columns` import `ring`. Nothing rounds.
 
 State simulation (`apply_circuit`) varies on its input's support; every
 other wire keeps its one value, so memory follows the lanes, not the
@@ -79,8 +79,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATES, Circuit, DomainError, Gate, width_cap
-from .packed import run_packed, start_pattern
-from .ring import ROTATE, ZERO, RingScalar
+from .packed import ROTATE, run_packed, start_pattern
 
 
 class WidthMismatch(DomainError, ValueError):
@@ -222,22 +221,29 @@ def _apply_gate(amps: dict[int, tuple], step: CompiledGate, n: int) -> dict[int,
 class ExactState(namedtuple("ExactState", "n amps k")):
     """An n-qubit state vector with exact amplitudes.
 
-    ``amps`` maps each basis index to the coefficients (a, b, c, d) of its nonzero
-    amplitude over sqrt2^k, an `induced_columns` column's form. Zero tuples are
-    dropped and k lowered as far as it goes, so two states are equal iff they
-    are the same vector.
+    ``amps`` maps each basis index to the four int coefficients (a, b, c, d) of
+    its nonzero amplitude over sqrt2^k, an `induced_columns` column's form. Zero
+    tuples are dropped and k lowered as far as it goes, so two states are equal
+    iff they are the same vector.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, amps: Mapping[int, tuple], k: int) -> ExactState:
-        amps = {i: v for i, v in amps.items() if v != _ZERO_COEFFS}
-        for i in amps:
-            if not 0 <= i < 1 << n:
-                raise ValueError(f"basis index {i} out of range")
+        end, kept = 1 << n, {}
+        for i, v in amps.items():
+            try:
+                a, b, c, d = v if type(v) is tuple else ()
+                nonzero = a | b | c | d | 0  # a TypeError unless all four are ints
+            except (TypeError, ValueError):
+                raise TypeError(f"amplitude at basis index {i} is not a tuple of four ints") from None
+            if nonzero:
+                if not 0 <= i < end:
+                    raise ValueError(f"basis index {i} out of range")
+                kept[i] = v
         if k < 0:
             raise ValueError(f"denominator exponent {k} is negative")
-        return super().__new__(cls, n, *_lowest(amps, k))
+        return super().__new__(cls, n, *_lowest(kept, k))
 
     @classmethod
     def _make(cls, fields: Iterable) -> ExactState:
@@ -306,26 +312,23 @@ def apply_circuit(state: ExactState, c: Circuit) -> ExactState:
     dense = len(amps) << sum(1 for h, _ in steps if h) >= 1 << m
     if dense and m > cap:
         raise TooWide(f"state simulation over {m} wires exceeds the width cap of {cap}")
-    shifts = [n - 1 - q for q in lanes]
-    fields = {}
-    for i, v in amps.items():
-        f = 0
-        for s in shifts:
-            f = f << 1 | i >> s & 1
-        fields[f] = v
+    # Each run of consecutive lanes moves as one block: (field shift, index shift, mask).
+    runs = []
+    for j, q in enumerate(lanes):
+        if j and lanes[j - 1] == q - 1:
+            t, s, w = runs[-1]
+            runs[-1] = (t - 1, s - 1, w << 1 | 1)
+        else:
+            runs.append((m - 1 - j, n - 1 - q, 1))
+    fields = {sum((i >> s & w) << t for t, s, w in runs): v for i, v in amps.items()}
     if dense:
         fields, k = run_packed(fields, k, steps, m)
     else:
         fields, k, stopped = _run(fields, k, steps, m, 1 << cap)
         if stopped is not None:
             raise _support_exceeds(cap)
-    constant = first & ~sum(1 << s for s in shifts)
-    out = {}
-    for f, v in fields.items():
-        i = constant
-        for j, s in enumerate(shifts):
-            i |= (f >> (m - 1 - j) & 1) << s
-        out[i] = v
+    constant = first & ~sum(w << s for _, s, w in runs)
+    out = {constant | sum((f >> t & w) << s for t, s, w in runs): v for f, v in fields.items()}
     return ExactState(n, out, k)
 
 
@@ -350,6 +353,8 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows")):
 
     @classmethod
     def from_columns(cls, dim: int, columns: Iterable[Mapping[int, RingScalar]]) -> ExactMatrix:
+        from .ring import ZERO
+
         rows = [[ZERO] * dim for _ in range(dim)]
         for j, column in enumerate(columns):
             for i, v in column.items():
@@ -488,6 +493,8 @@ def induced_columns(c: Circuit) -> Iterator[tuple[dict[int, tuple], int]]:
 
 def induced_unitary(c: Circuit) -> ExactMatrix:
     """`induced_columns` as a dense 2^n_main square matrix, capped before it is allocated."""
+    from .ring import RingScalar
+
     return ExactMatrix.from_columns(_main_inputs(c), (
         {i: RingScalar(*v, k) for i, v in column.items()} for column, k in induced_columns(c)))
 

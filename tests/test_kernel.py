@@ -1,5 +1,7 @@
 """The integer-coefficient kernel and the gate table against the reference simulator."""
 
+import io
+import json
 import os
 import resource
 import subprocess
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdo.circuit import GATES, Circuit, Gate
+from tdo.cli import main
+from tdo.packed import ROTATE
 from tdo.ring import ONE, RingScalar, omega_pow
 from tdo.sim import (
     AncillaContractViolated,
@@ -183,6 +187,14 @@ def circuits_on_some_wires(draw):
     Circuit(3, 0, (gate("h", 2), gate("h", 1), gate("cx", 2, 1), gate("t", 1))),
     ref.state(3, {0: ONE, 4: RingScalar(0, 1 << 100, 0, 0, 3)}),
 ))
+# The lanes are wires 0-1, 3-5 and 7, three runs of index bits; the support
+# varies on wire 5, which no gate touches, and holds wire 6 at 1. The five h
+# gates can spread it over all six lanes, so the packed kernel runs it.
+@example((
+    Circuit(8, 0, (gate("h", 0), gate("h", 1), gate("cx", 1, 3), gate("h", 3), gate("h", 4),
+                   gate("ccz", 0, 4, 7), gate("t", 7), gate("h", 7), gate("swap", 0, 3))),
+    ref.state(8, {2: ONE, 6: RingScalar(0, 3, -1, 0, 1)}),
+))
 def test_apply_circuit_matches_reference_on_wide_coefficients(case):
     c, state = case
     assert apply_circuit(state, c) == ref.apply_circuit(state, c)
@@ -315,6 +327,64 @@ def _run_limited(script, cap):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+@given(st.tuples(*[st.integers(-99, 99)] * 4), st.integers(0, 6))
+def test_rotate_multiplies_by_a_power_of_omega(coeffs, k):
+    for e in range(8):
+        assert RingScalar(*ROTATE[e](*coeffs), k) == omega_pow(e) * RingScalar(*coeffs, k)
+
+
+# The kernels compute on coefficient tuples, so the commands and states that
+# only simulate never load the ring. Runs in a fresh interpreter, because this
+# one has loaded it; the last two calls build ring scalars and load it.
+_WITHOUT_RING = """
+import io, json, sys
+from pathlib import Path
+from tdo.circuit import Circuit, Gate
+from tdo.cli import main
+from tdo.sim import ExactMatrix, ExactState, apply_circuit, induced_unitary
+ring = {"tdo.ring", "fractions", "decimal", "numbers"}
+work = Path(sys.argv[1])
+runs = [["verify", work / "toffoli1.tdo", work / "ccx.tdo"],
+        ["verify", work / "free.tdo", work / "free.tdo"], ["emit", "controlled-t"]]
+outs = []
+for argv in runs:
+    out = io.StringIO()
+    assert main([str(a) for a in argv], out, io.StringIO()) == 0, argv
+    outs.append(out.getvalue())
+h3 = Circuit(3, 0, tuple(Gate("h", (q,)) for q in range(3)))
+chain = Circuit(3, 0, (Gate("cx", (0, 1)), Gate("t", (2,))))
+outs += [repr(apply_circuit(ExactState.basis(3, 0), h3)), repr(apply_circuit(ExactState.basis(3, 5), chain))]
+assert not ring & set(sys.modules), ring & set(sys.modules)
+assert ExactMatrix.from_columns(2, [{}, {}]).rows == ((0, 0), (0, 0))
+assert "tdo.ring" in sys.modules
+from tdo.ring import INV_SQRT2
+assert induced_unitary(Circuit(1, 0, (Gate("h", (0,)),))).rows == ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+print(json.dumps(outs))
+"""
+
+
+def test_simulation_loads_no_ring(tmp_path):
+    toffoli = io.StringIO()
+    assert main(["emit", "toffoli-tdepth1"], toffoli, io.StringIO()) == 0
+    (tmp_path / "toffoli1.tdo").write_text(toffoli.getvalue())
+    (tmp_path / "ccx.tdo").write_text("qubits 3\nccx 0 1 2\n")
+    (tmp_path / "free.tdo").write_text("qubits 3\nt 0\ncx 0 1\nccz 0 1 2\ntdg 2\n")
+    emitted = io.StringIO()
+    assert main(["emit", "controlled-t"], emitted, io.StringIO()) == 0
+    h3 = Circuit(3, 0, tuple(gate("h", q) for q in range(3)))
+    chain = Circuit(3, 0, (gate("cx", 0, 1), gate("t", 2)))
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_RING, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        '{"equivalent": true}\n', '{"equivalent": true}\n', emitted.getvalue(),
+        repr(ref.apply_circuit(ExactState.basis(3, 0), h3)),
+        repr(ref.apply_circuit(ExactState.basis(3, 5), chain)),
+    ]
 
 
 def test_induced_unitary_checks_cap_before_allocating():

@@ -108,6 +108,15 @@ def test_state_drops_all_zero_coefficients():
     assert ExactState(2, {1: (0, 0, 0, 0)}, 3) == ExactState(2, {}, 0)
 
 
+@pytest.mark.parametrize("value", [(1.5, 0, 0, 0), (1, 0), [1, 0, 0, 0]], ids=["float", "short", "list"])
+def test_state_refuses_coefficients_that_are_not_four_ints(value):
+    message = "^amplitude at basis index 1 is not a tuple of four ints$"
+    with pytest.raises(TypeError, match=message):
+        ExactState(2, {1: value}, 0)
+    with pytest.raises(TypeError, match=message):
+        ExactState.basis(2, 0)._replace(amps={1: value})
+
+
 def test_parity_fanout_network_wire_labels():
     # The single-stage CCZ's compute half copies x^y^z, x^y, y^z, x^z onto
     # the four ancillas, in that wire order.
