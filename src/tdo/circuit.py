@@ -157,15 +157,19 @@ class Circuit(namedtuple("Circuit", "n_main n_anc gates")):
     immutable values; every metric and transformation is a pure function.
     This constructor is the one place a gate is checked: its kind is in
     `GATES`, it has that kind's arity, and its wires are distinct and in
-    range; a bad gate raises ValueError (TypeError if its wires are in a
-    list). Each distinct gate is checked once, in order of first
-    occurrence, so the gate reported is the first bad one in the list.
+    range; a bad gate raises ValueError. Counts and wires must be of type
+    int exactly (not bool or float, so that `emit` writes what `parse`
+    reads), and wires come in a tuple; anything else raises TypeError.
+    Each distinct gate is checked once, in order of first occurrence, so
+    the gate reported is the first bad one in the list.
     """
 
     __slots__ = ()
 
     def __new__(cls, n_main: int, n_anc: int = 0, gates: Sequence[Gate] = ()) -> Circuit:
         gates = tuple(gates)
+        if type(n_main) is not int or type(n_anc) is not int:
+            raise TypeError(f"qubit counts must be ints, got {n_main!r} and {n_anc!r}")
         if n_main < 0 or n_anc < 0:
             raise ValueError("qubit counts must be non-negative")
         width = n_main + n_anc
@@ -181,6 +185,8 @@ class Circuit(namedtuple("Circuit", "n_main n_anc gates")):
             if len(set(qubits)) != len(qubits):
                 raise ValueError(f"gate {gate.kind!r} repeats a qubit: {qubits}")
             for q in qubits:
+                if type(q) is not int:
+                    raise TypeError(f"gate '{gate}' uses qubit {q!r}, which is not an int")
                 if not 0 <= q < width:
                     raise ValueError(
                         f"gate '{gate}' uses qubit {q}, but the circuit has "

@@ -9,9 +9,10 @@ message and its own fields (a command line argparse refuses among them),
 and for running out of memory; 2 only for a file that cannot be read.
 Output is byte-identical for identical inputs.
 
-Each command loads only the modules it runs: the simulator, the ring and
-the obstruction test are imported when `verify` or `obstruct` first calls
-into them.
+Each command loads only the modules it runs, on first use: `verify` and
+the simulating `emit`s (`add-control`, `controlled-t`) import `tdo.sim` and
+its `tdo.packed` kernel but no ring, `obstruct` imports `tdo.obstruction`,
+which brings in `tdo.sim` and `tdo.ring`, and the other commands load none.
 """
 
 from __future__ import annotations

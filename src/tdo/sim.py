@@ -37,11 +37,11 @@ coefficient needs it, and double before any h that could overflow one, so
 every input is simulated exactly.
 
 Operators are extracted as sparse columns, one canonical coefficient table
-per basis input, yielded in input order (`induced_columns`). With an h,
-the inputs run in groups through `_run`, whose state is a dict from basis
-index to coefficient tuple: a column is often a few amplitudes over
-thousands of touched ancillas, which no dense layout could hold, and one
-kernel call per column per gate would cost more than the amplitudes do.
+per basis input, yielded in input order (`induced_columns`). The inputs
+run in groups through `_run`, whose state is a dict from basis index to
+coefficient tuple: a column is often a few amplitudes over thousands of
+touched ancillas, which no dense layout could hold, and one kernel call
+per column per gate would cost more than the amplitudes do.
 Each input is tagged in index bits above every wire, which no compiled mask
 touches, so a group of up to _GROUP_SUPPORT inputs runs as one state with
 one k, and each column leaves at its own lowest k. A group that an h
@@ -49,19 +49,19 @@ leaves with more than _GROUP_SUPPORT amplitudes (or 2^cap) splits in two by
 tag, and each half resumes after that h, the lower half first. A piece's
 tags count from its own first input, so a one-column piece runs untagged
 and is capped like a sparse state: refusals and their order are those of
-inputs run one by one. An h-free circuit runs once for all inputs,
-bit-sliced: each wire is one 2^n_main-bit integer whose bit x is the wire's
-value on main-register input x, and the omega exponent mod 8 is three such
-bit-planes. A move ANDs its control wires into a mask, adds e times the
-mask into the planes with a 3-bit ripple add, then XORs the mask into its
-flip wires, so a gate costs a few big-integer operations whatever n_main
-is. The slices take (main + touched ancilla wires) x 2^n_main bits. The
-ancilla contract stays exhaustive: the OR of the ancilla wires is zero
-exactly when every input restores them, and its lowest set bit is the first
-input that does not. Equivalence checking of two h-free circuits compares
-the slices themselves; otherwise it compares the two column streams pair by
-pair, holding one group's columns of each. Only `induced_unitary` densifies
-columns into an `ExactMatrix`.
+inputs run one by one. Only `equivalence_phase` of two h-free circuits
+runs bit-sliced, once for all inputs: each wire is one 2^n_main-bit integer
+whose bit x is the wire's value on main-register input x, and the omega
+exponent mod 8 is three such bit-planes. A move ANDs its control wires into
+a mask, adds e times the mask into the planes with a 3-bit ripple add, then
+XORs the mask into its flip wires, so a gate costs a few big-integer
+operations whatever n_main is. The slices take (main + touched ancilla
+wires) x 2^n_main bits. The ancilla contract stays exhaustive: the OR of the
+ancilla wires is zero exactly when every input restores them, and its
+lowest set bit is the first input that does not. It compares the slices
+themselves; any other pair, one h-free circuit included, compares the two
+column streams pair by pair, holding one group's columns of each. Only
+`induced_unitary` densifies columns into an `ExactMatrix`.
 
 One width cap bounds the 2^n simulations, packed, bit-sliced or not: 12
 qubits for the lanes of a packed state, checked before anything is
@@ -224,14 +224,18 @@ class ExactState(namedtuple("ExactState", "n amps k")):
     ``amps`` maps each basis index to the four int coefficients (a, b, c, d) of
     its nonzero amplitude over sqrt2^k, an `induced_columns` column's form. Zero
     tuples are dropped and k lowered as far as it goes, so two states are equal
-    iff they are the same vector.
+    iff they are the same vector. n, each basis index and k must be ints.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, amps: Mapping[int, tuple], k: int) -> ExactState:
+        if type(n) is not int or type(k) is not int:
+            raise TypeError(f"qubit count {n!r} and denominator exponent {k!r} must be ints")
         end, kept = 1 << n, {}
         for i, v in amps.items():
+            if type(i) is not int:
+                raise TypeError(f"basis index {i!r} is not an int")
             try:
                 a, b, c, d = v if type(v) is tuple else ()
                 nonzero = a | b | c | d | 0  # a TypeError unless all four are ints
@@ -434,24 +438,12 @@ def induced_columns(c: Circuit) -> Iterator[tuple[dict[int, tuple], int]]:
     unique, so equal columns are equal pairs. Ancillas start in |0>. Every
     input is simulated; AncillaContractViolated reports the first whose
     output touches a nonzero ancilla pattern. The main register is capped
-    like state simulation (TooWide), and so is each column's support. An
-    h-free circuit is read off its bit-sliced run; otherwise the inputs run
-    in tagged groups that split after an h as they grow (see the module
-    docstring), and only the ancillas that gates touch get a bit, after the
-    mains. Either way refusals come at the first input that would refuse if
-    each ran alone.
+    like state simulation (TooWide), and so is each column's support. The
+    inputs run in tagged groups that split after an h as they grow (see the
+    module docstring), h-free or not, and only the ancillas that gates touch
+    get a bit, after the mains. Refusals come at the first input that would
+    refuse if each ran alone.
     """
-    if _h_free(c):
-        mains, planes = _sliced(c)
-        lanes = 1 << c.n_main
-        # Each lane's output index, then its exponent, as one integer read
-        # off the wires bit by bit: qubit 0 first, so it ends as the MSB.
-        codes = [0] * lanes
-        for value in (*mains, *reversed(planes)):
-            bits = reversed(format(value, f"0{lanes}b"))
-            codes = [2 * code + (bit == "1") for code, bit in zip(codes, bits)]
-        yield from (({code >> 3: ROTATE[code & 7](1, 0, 0, 0)}, 0) for code in codes)
-        return
     dim = _main_inputs(c)
     # A group of columns varies on the main wires: the mains, then the touched ancillas.
     lanes, steps = _compile(c.gates, range(c.n_main))
@@ -513,9 +505,10 @@ def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     over one from c2, so a contract violation is reported whether or not
     the operators differ. Two h-free circuits are compared bit-sliced: equal
     main wires, and an exponent difference that is the same j on every
-    lane, so each difference plane is all zeros or all ones. Otherwise j is
-    read off column 0, and the two canonical column streams are compared
-    pair by pair as tables, one group's columns of each held at a time.
+    lane, so each difference plane is all zeros or all ones. Otherwise, one
+    h-free circuit included, j is read off column 0, and the two canonical
+    column streams are compared pair by pair as tables, one group's columns
+    of each held at a time.
     """
     if c1.n_main != c2.n_main:
         raise WidthMismatch("circuits act on different main registers")

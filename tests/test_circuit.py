@@ -55,6 +55,21 @@ def test_circuit_validation():
     Circuit(1, 1, (gate("cx", 0, 1),))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((2, 0, (Gate("x", (1.0,)),)), "^gate 'x 1.0' uses qubit 1.0, which is not an int$"),
+    ((2, 0, (Gate("x", (True,)),)), "^gate 'x True' uses qubit True, which is not an int$"),
+    ((2.0, 0, ()), "^qubit counts must be ints, got 2.0 and 0$"),
+    ((True, 0, ()), "^qubit counts must be ints, got True and 0$"),
+    ((1, 1.0, ()), "^qubit counts must be ints, got 1 and 1.0$"),
+], ids=["float-wire", "bool-wire", "float-count", "bool-count", "float-ancillas"])
+def test_circuit_refuses_counts_and_wires_that_are_not_ints(fields, message):
+    # emit would print `x 1.0`, `x True` or `qubits 2.0`, which parse refuses.
+    with pytest.raises(TypeError, match=message):
+        Circuit(*fields)
+    with pytest.raises(TypeError, match=message):
+        Circuit(2)._replace(**dict(zip(Circuit._fields, fields)))
+
+
 def test_circuit_is_an_immutable_value():
     gates = [gate("t", 0), gate("cx", 0, 1)]
     c = Circuit(2, 0, gates)

@@ -148,7 +148,7 @@ def test_add_control_rejects_a_circuit_with_no_main_qubits():
 @pytest.mark.parametrize("prefix", [(), (gate("h", 2), gate("h", 2))])
 def test_add_control_checks_the_ancilla_contract_first(prefix):
     # Not a pure control on input 0, and it leaks the ancilla on input 2:
-    # the leak is what gets reported, on the bit-sliced and the h path.
+    # the leak is what gets reported, with or without h in the inner circuit.
     inner = Circuit(2, 1, prefix + (gate("x", 1), gate("ccx", 0, 1, 2)))
     with pytest.raises(AncillaContractViolated) as excinfo:
         add_control(inner)

@@ -117,6 +117,20 @@ def test_state_refuses_coefficients_that_are_not_four_ints(value):
         ExactState.basis(2, 0)._replace(amps={1: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((1, {0: (2, 0, 0, 0)}, 1.5), "^qubit count 1 and denominator exponent 1.5 must be ints$"),
+    ((1, {0: (2, 0, 0, 0)}, True), "^qubit count 1 and denominator exponent True must be ints$"),
+    ((1.0, {0: (1, 0, 0, 0)}, 0), "^qubit count 1.0 and denominator exponent 0 must be ints$"),
+    ((1, {0.0: (1, 0, 0, 0)}, 0), "^basis index 0.0 is not an int$"),
+], ids=["float-k", "bool-k", "float-n", "float-index"])
+def test_state_refuses_a_count_index_or_k_that_is_not_an_int(fields, message):
+    # The negative-k check runs before _lowest, which would take a k of 1.5 to -0.5.
+    with pytest.raises(TypeError, match=message):
+        ExactState(*fields)
+    with pytest.raises(TypeError, match=message):
+        ExactState.basis(1, 0)._replace(**dict(zip(ExactState._fields, fields)))
+
+
 def test_parity_fanout_network_wire_labels():
     # The single-stage CCZ's compute half copies x^y^z, x^y, y^z, x^z onto
     # the four ancillas, in that wire order.
@@ -220,25 +234,35 @@ def test_equivalence_phase_of_h_free_circuits_is_bit_sliced(monkeypatch):
 
 
 def test_equivalence_phase_reports_c1_refusal_first(monkeypatch):
-    # h h on the ancilla keeps both circuits off the bit-sliced path. With
-    # wire 0 as the MSB, leak3 sets the ancilla on input 3 and leak1 on 1.
+    # h h on the ancilla keeps a circuit off the bit-sliced path, and a pair
+    # with one h-free circuit runs both as columns. With wire 0 as the MSB,
+    # leak3 and free3 set the ancilla on input 3 and leak1 on 1.
     hh = (gate("h", 2), gate("h", 2))
     leak3 = Circuit(2, 1, hh + (gate("ccx", 0, 1, 2),))
     leak1 = Circuit(2, 1, hh + (gate("x", 0), gate("ccx", 0, 1, 2), gate("x", 0)))
+    free3 = Circuit(2, 1, (gate("ccx", 0, 1, 2),))
     differs = Circuit(2, 1, hh + (gate("x", 0),))
-    cases = [(leak3, leak1, 3), (leak1, leak3, 1), (differs, leak1, 1), (Circuit(2, 1, hh), leak3, 3)]
+    cases = [
+        (leak3, leak1, 3), (leak1, leak3, 1), (differs, leak1, 1), (Circuit(2, 1, hh), leak3, 3),
+        (free3, leak1, 3), (leak1, free3, 1),
+    ]
     for c1, c2, first in cases:
         with pytest.raises(AncillaContractViolated) as excinfo:
             equivalence_phase(c1, c2)
         assert excinfo.value.basis_input == first
-    # A TooWide from c2 on its first column also waits for c1's leak.
-    monkeypatch.setenv("TDO_MAX_QUBITS", "2")
-    wide = Circuit(2, 3, (gate("h", 2), gate("h", 3), gate("h", 4)))
-    with pytest.raises(AncillaContractViolated) as excinfo:
-        equivalence_phase(leak3, wide)
-    assert excinfo.value.basis_input == 3
-    with pytest.raises(TooWide):
-        equivalence_phase(wide, leak3)
+    # A TooWide from c2 on its first column also waits for c1's leak, even
+    # after an h-free c1 has streamed out a whole group of columns (input 192
+    # is the first past the first group of 128 to set wires 0 and 1).
+    free192 = Circuit(8, 1, (gate("ccx", 0, 1, 8),))
+    wide2 = Circuit(2, 3, (gate("h", 2), gate("h", 3), gate("h", 4)))
+    wide8 = Circuit(8, 9, tuple(gate("h", q) for q in range(8, 17)))
+    for cap, leaker, wide, first in [("2", leak3, wide2, 3), ("2", free3, wide2, 3), ("8", free192, wide8, 192)]:
+        monkeypatch.setenv("TDO_MAX_QUBITS", cap)
+        with pytest.raises(AncillaContractViolated) as excinfo:
+            equivalence_phase(leaker, wide)
+        assert excinfo.value.basis_input == first
+        with pytest.raises(TooWide):
+            equivalence_phase(wide, leaker)
 
 
 def test_is_almost_classical_on_gates():
@@ -327,7 +351,7 @@ def _outcome(run):
 
 @st.composite
 def _h_circuits(draw, n_main=None):
-    """1-4 main and 0-4 ancilla wires; random gates around h on some wires.
+    """1-4 main and 0-4 ancilla wires; random gates around h on none, some or all wires.
 
     Half of them restore their ancillas: main-wire gates around such a
     sequence and its inverse. The rest mostly leak.
@@ -345,7 +369,7 @@ def _h_circuits(draw, n_main=None):
         return out
 
     wires = draw(st.permutations(range(width)))
-    hs = [Gate("h", (q,)) for q in wires[:draw(st.integers(1, width))]]
+    hs = [Gate("h", (q,)) for q in wires[:draw(st.integers(0, width))]]
     body = gates(range(width), 8)
     at = draw(st.integers(0, len(body)))
     body[at:at] = hs
