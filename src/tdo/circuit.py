@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -269,17 +269,42 @@ def t_depth_scheduled(c: Circuit) -> int:
 
 
 def depth(c: Circuit) -> int:
-    """Layers of the as-soon-as-possible schedule (all gates cost 1)."""
+    """Layers of the as-soon-as-possible schedule (all gates cost 1).
+
+    A wire's counter holds the layer of the last gate on it and only ever
+    grows, so the deepest counter is the depth. One- and two-qubit gates,
+    nearly all of a real circuit, are handled without building a list.
+    """
     busy_until: defaultdict[int, int] = defaultdict(int)
-    total = 0
     for gate in c.gates:
         qubits = gate.qubits
-        layer = 1 + max([busy_until[q] for q in qubits])
-        for q in qubits:
-            busy_until[q] = layer
-        if layer > total:
-            total = layer
-    return total
+        if len(qubits) == 1:
+            busy_until[qubits[0]] += 1
+        elif len(qubits) == 2:
+            a, b = qubits
+            la, lb = busy_until[a], busy_until[b]
+            busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
+        else:
+            layer = 1 + max([busy_until[q] for q in qubits])
+            for q in qubits:
+                busy_until[q] = layer
+    return max(busy_until.values(), default=0)
+
+
+class GateMemo(dict):
+    """Maps each gate to ``fn(gate)``, computed on the gate's first lookup.
+
+    ``map(GateMemo(fn).__getitem__, gates)`` hashes each gate once and calls
+    ``fn`` once per distinct value, sharing its result between equal gates.
+    """
+
+    def __init__(self, fn: Callable[[Gate], object]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, gate: Gate):
+        value = self[gate] = self.fn(gate)
+        return value
 
 
 def invert_gates(gates: Sequence[Gate]) -> tuple[Gate, ...]:
@@ -287,8 +312,7 @@ def invert_gates(gates: Sequence[Gate]) -> tuple[Gate, ...]:
 
     Each distinct gate is inverted once and its inverse shared.
     """
-    inverses = {g: g.inverse() for g in dict.fromkeys(gates)}
-    return tuple(map(inverses.__getitem__, reversed(gates)))
+    return tuple(map(GateMemo(Gate.inverse).__getitem__, reversed(gates)))
 
 
 def dagger(c: Circuit) -> Circuit:

@@ -9,6 +9,10 @@ message and its own fields (a command line argparse refuses among them),
 and for running out of memory; 2 only for a file that cannot be read.
 Output is byte-identical for identical inputs.
 
+The `tdo` process runs with the cyclic garbage collector off (see
+`main_entry`): a command makes no cyclic garbage worth freeing before it
+exits, and each collection would walk every gate it holds.
+
 Each command loads only the modules it runs, on first use: `verify` and
 the simulating `emit`s (`add-control`, `controlled-t`) import `tdo.sim` and
 its `tdo.packed` kernel but no ring, `obstruct` imports `tdo.obstruction`,
@@ -18,14 +22,18 @@ which brings in `tdo.sim` and `tdo.ring`, and the other commands load none.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
 from .circuit import (
-    Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal, metrics, t_depth_scheduled, width_cap,
+    Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal, metrics, t_count, width_cap,
 )
+# No command calls it; the name stays bound because perfbench/tracing.py
+# wraps tdo.cli.t_depth_scheduled.
+from .circuit import t_depth_scheduled  # noqa: F401
 from .constructions import CONSTRUCTIONS, build
-from .rewriter import rewrite_budgeted
+from .rewriter import rewrite_budgeted, segment_count
 from .text import SourceError, emit, parse
 
 _BUILTIN_CIRCUITS = {
@@ -121,7 +129,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> tuple[dict, str | None]:
     payload = {
         "stages": args.stages,
         "ancillas_added": out.n_anc - c.n_anc,
-        "t_depth": t_depth_scheduled(out),
+        "t_depth": segment_count(t_count(c), args.stages),
     }
     return payload, emit(out)
 
@@ -229,6 +237,14 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
 
 
 def main_entry() -> None:
+    # A `Gate` is a tuple subclass, which the cycle collector tracks for
+    # good, so each full collection walked every gate of a large rewrite.
+    # The commands make almost no cyclic garbage: with the collector off, a
+    # whole in-process run of each one (error exits too) left only the 242
+    # objects of argparse's parser unreachable. Disabled here, at the
+    # process entry, so library callers and in-process tests of `main` keep
+    # the collector.
+    gc.disable()
     raise SystemExit(main())
 
 

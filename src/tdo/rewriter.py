@@ -22,7 +22,10 @@ gates.
 
 An ancilla budget trades stages for ancillas: splitting the input into
 segments of at most ceil(t/S) T gates and rewriting each against one
-shared ancilla pool yields T-depth at most S with a pool of ceil(t/S).
+shared ancilla pool yields a pool of ceil(t/S) and a T-depth of exactly
+ceil(t / ceil(t/S)), the number of segments, which is at most S
+(`segment_count`). So the output's T-depth is known before the output is
+built.
 """
 
 from __future__ import annotations
@@ -70,15 +73,26 @@ def _rewrite_segment(
     out += remainder
 
 
+def segment_count(t: int, stages: int) -> int:
+    """Segments of `rewrite_budgeted(c, stages)` for t = t_count(c): its T-depth.
+
+    The value is exact, not a bound. Every segment's first T gate fires on
+    the pool's first wire, so that wire's T-chain has one stage per
+    segment. No segment's prefix L holds a T gate, so no T-chain is
+    longer. 0 when t = 0, where the input comes back as it is.
+    """
+    return -(-t // -(-t // stages)) if t else 0
+
+
 def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     """Rewrite to T-depth at most `stages`, reusing one ancilla pool.
 
     The gate list is cut into consecutive segments of at most
     ceil(t_count/stages) T gates; each segment is rewritten to a single T
-    stage and restores the shared pool to |0>, so segments chain to at most
-    `stages` stages total. Input ancillas are treated as ordinary wires;
-    the pool is appended after them. A circuit without T gates is returned
-    as it is.
+    stage and restores the shared pool to |0>, so the output's T-depth is
+    the segment count, `segment_count(t_count(c), stages)` <= `stages`.
+    Input ancillas are treated as ordinary wires; the pool is appended
+    after them. A circuit without T gates is returned as it is.
     """
     if stages < 1:
         raise ValueError("stage budget must be at least 1")

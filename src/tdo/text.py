@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import GATES, Circuit, DomainError, Gate, decimal_too_long, is_ascii_decimal
+from .circuit import GATES, Circuit, DomainError, Gate, GateMemo, decimal_too_long, is_ascii_decimal
 
 _TOKEN = re.compile(r"\S+")
 
@@ -122,6 +122,5 @@ def emit(c: Circuit) -> str:
     lines = [f"qubits {c.n_main}"]
     if c.n_anc:
         lines.append(f"ancillas {c.n_anc}")
-    texts = {g: str(g) for g in dict.fromkeys(c.gates)}
-    lines.extend(map(texts.__getitem__, c.gates))
+    lines.extend(map(GateMemo(str).__getitem__, c.gates))
     return "\n".join(lines) + "\n"

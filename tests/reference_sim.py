@@ -19,7 +19,8 @@ oracle for `tdo.obstruction.expectation_direct`.
 The rest is dense matrix algebra over those containers (products,
 adjoints, unitarity and shape checks), phase diagonals, the k-controlled
 X matrix, the single-qubit Clifford group, state norms, the exact sign of
-a RealValue, and the plain per-wire loop of the scheduled T-depth metric.
+a RealValue, the plain per-wire loop of the scheduled T-depth metric, and
+a layer-by-layer depth.
 """
 
 from __future__ import annotations
@@ -357,3 +358,21 @@ def t_depth_scheduled(c: Circuit) -> int:
             for q in qubits:
                 level[q] = peak
     return max(level.values(), default=0)
+
+
+def depth(c: Circuit) -> int:
+    """Depth with no per-wire counters: the gates are laid out in layers.
+
+    Each gate goes into the layer just after the last layer that holds a
+    gate on one of its wires, and the depth is the number of layers.
+    """
+    layers: list[set[int]] = []
+    for gate in c.gates:
+        wires = set(gate.qubits)
+        k = len(layers)
+        while k and not layers[k - 1] & wires:
+            k -= 1
+        if k == len(layers):
+            layers.append(set())
+        layers[k] |= wires
+    return len(layers)

@@ -143,6 +143,15 @@ def test_invert_gates_of_repeated_objects():
     assert inverses[1] is cx and inverses[4] is cx
 
 
+def test_invert_gates_shares_one_inverse_per_distinct_gate():
+    # Fresh but equal gates in, one inverse object per distinct value out.
+    gates = [Gate(kind, tuple(qubits)) for kind, qubits in
+             [("t", [0]), ("cx", [0, 1]), ("s", [1]), ("t", [0]), ("cx", [0, 1]), ("s", [1])]]
+    inverses = invert_gates(gates)
+    assert inverses == tuple(g.inverse() for g in reversed(gates))
+    assert len(set(map(id, inverses))) == len(set(gates)) == 3
+
+
 def test_equal_gates_are_worked_on_once(monkeypatch):
     # Fresh but equal objects are one value: formatted once, inverted once.
     calls = Counter()
@@ -239,14 +248,14 @@ _SCHEDULE_KINDS = st.sampled_from(
 
 
 @st.composite
-def schedule_circuits(draw):
+def schedule_circuits(draw, kinds=_SCHEDULE_KINDS):
     """Circuits on the lowest and highest three wires of their width."""
     width = draw(st.sampled_from([3, 6, 3_000_000_000]))
     wires = range(width)
     ends = sorted({*wires[:3], *wires[-3:]})
     gates = []
     for _ in range(draw(st.integers(0, 40))):
-        kind = draw(_SCHEDULE_KINDS)
+        kind = draw(kinds)
         qubits = draw(st.permutations(ends))[: GATES[kind].arity]
         gates.append(Gate(kind, tuple(qubits)))
     return Circuit(width, 0, tuple(gates))
@@ -256,3 +265,9 @@ def schedule_circuits(draw):
 @given(schedule_circuits())
 def test_t_depth_scheduled_matches_reference(c):
     assert t_depth_scheduled(c) == ref.t_depth_scheduled(c)
+
+
+@settings(max_examples=300)
+@given(schedule_circuits(st.sampled_from(sorted(GATES))))
+def test_depth_matches_reference(c):
+    assert depth(c) == ref.depth(c)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tdo
-from tdo.circuit import BadWidthCap, Circuit
+from tdo.circuit import GATES, BadWidthCap, Circuit, Gate, t_count, t_depth_scheduled
 from tdo.cli import main
 from tdo.obstruction import obstruction_verdict
 from tdo.rewriter import NotAlmostClassical
@@ -27,7 +28,7 @@ from tdo.constructions import (
     toffoli_tdepth1,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, MONOMIAL_POOL
 from test_text import source_texts
 
 
@@ -373,6 +374,35 @@ def test_rewrite_core(tmp_path):
     payload = report_of(err)["payload"]
     assert payload["ancillas_added"] == 4
     assert payload["t_depth"] <= 2
+
+
+@st.composite
+def monomial_circuits(draw):
+    """Circuits the rewriter takes, with input ancillas and often no T gate."""
+    n_main, n_anc = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    width = n_main + n_anc
+    kinds = st.sampled_from([k for k in MONOMIAL_POOL if GATES[k].arity <= width])
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(kinds)
+        qubits = draw(st.permutations(range(width)))[: GATES[kind].arity]
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit(n_main, n_anc, tuple(gates))
+
+
+@settings(max_examples=150)
+@given(monomial_circuits(), st.integers(1, 40))
+def test_rewrite_reports_the_t_depth_of_its_output(tmp_path_factory, c, stages):
+    # The report is the rewriter's segment count; the printed circuit's
+    # scheduled T-depth is the oracle.
+    path = tmp_path_factory.getbasetemp() / "rewrite.tdo"
+    path.write_text(emit(c))
+    code, out, err = run(["rewrite", str(path), "--stages", str(stages)])
+    assert code == 0
+    reported = report_of(err)["payload"]["t_depth"]
+    assert reported == t_depth_scheduled(parse(out))
+    t = t_count(c)
+    assert reported == (math.ceil(t / math.ceil(t / stages)) if t else 0)
 
 
 def test_rewrite_hadamard_exits_1(tmp_path):
