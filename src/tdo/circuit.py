@@ -269,26 +269,17 @@ def t_depth_scheduled(c: Circuit) -> int:
 
 
 def depth(c: Circuit) -> int:
-    """Layers of the as-soon-as-possible schedule (all gates cost 1).
-
-    A wire's counter holds the layer of the last gate on it and only ever
-    grows, so the deepest counter is the depth. One- and two-qubit gates,
-    nearly all of a real circuit, are handled without building a list.
-    """
+    """Layers of the as-soon-as-possible schedule (all gates cost 1)."""
     busy_until: defaultdict[int, int] = defaultdict(int)
+    total = 0
     for gate in c.gates:
         qubits = gate.qubits
-        if len(qubits) == 1:
-            busy_until[qubits[0]] += 1
-        elif len(qubits) == 2:
-            a, b = qubits
-            la, lb = busy_until[a], busy_until[b]
-            busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
-        else:
-            layer = 1 + max([busy_until[q] for q in qubits])
-            for q in qubits:
-                busy_until[q] = layer
-    return max(busy_until.values(), default=0)
+        layer = 1 + max([busy_until[q] for q in qubits])
+        for q in qubits:
+            busy_until[q] = layer
+        if layer > total:
+            total = layer
+    return total
 
 
 class GateMemo(dict):

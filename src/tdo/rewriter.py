@@ -73,6 +73,11 @@ def _rewrite_segment(
     out += remainder
 
 
+def _quota(t: int, stages: int) -> int:
+    """T gates per segment for t T gates and a budget of `stages`: the pool size."""
+    return -(-t // stages)
+
+
 def segment_count(t: int, stages: int) -> int:
     """Segments of `rewrite_budgeted(c, stages)` for t = t_count(c): its T-depth.
 
@@ -81,7 +86,7 @@ def segment_count(t: int, stages: int) -> int:
     segment. No segment's prefix L holds a T gate, so no T-chain is
     longer. 0 when t = 0, where the input comes back as it is.
     """
-    return -(-t // -(-t // stages)) if t else 0
+    return -(-t // _quota(t, stages)) if t else 0
 
 
 def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
@@ -104,7 +109,7 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     total_t = t_count(c)
     if total_t == 0:
         return c
-    quota = -(-total_t // stages)
+    quota = _quota(total_t, stages)
     pool = tuple(range(c.width, c.width + quota))
 
     gates = c.gates

@@ -1,5 +1,6 @@
 """Command-line interface: streams, exit codes, and determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -127,6 +128,29 @@ def run_limited(argv, address_space=_ADDRESS_SPACE):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("entry", [
+    "cli.main_entry()",
+    "runpy.run_module('tdo.cli', run_name='__main__')",
+], ids=["main_entry", "python-m"])
+def test_process_entry_runs_without_the_cycle_collector(entry):
+    # The installed `tdo` script and `python -m tdo.cli` turn the collector
+    # off for the whole process; `main` called in-process leaves it on.
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import atexit, gc, runpy, sys",
+        "from tdo import cli",
+        "atexit.register(lambda: print('collector', gc.isenabled()))",
+        "sys.argv = ['tdo', 'emit', 'toffoli-tdepth1']",
+        entry,
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "collector False"
+    assert run(["emit", "toffoli-tdepth1"])[0] == 0
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("command", ["metrics", "rewrite"])
