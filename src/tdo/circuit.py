@@ -37,6 +37,7 @@ import os
 import sys
 from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 ActionStep = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -136,6 +137,11 @@ GATES: dict[str, GateKind] = {
 T_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.is_t)
 
 
+# Gate text by arity: "%s" prints any wire as str() does, so a message
+# about a gate with a wire that is not an int shows that wire as it is.
+_GATE_FORMATS = {arity: " ".join(["%s"] * (arity + 1)) for arity in range(4)}
+
+
 class Gate(namedtuple("Gate", "kind qubits")):
     """An immutable (kind, qubits) value: a gate kind on a tuple of wires."""
 
@@ -147,7 +153,11 @@ class Gate(namedtuple("Gate", "kind qubits")):
         return self if kind == self.kind else Gate(kind, self.qubits)
 
     def __str__(self) -> str:
-        return " ".join((self.kind, *map(str, self.qubits)))
+        qubits = self.qubits
+        fmt = _GATE_FORMATS.get(len(qubits))
+        if fmt is None:
+            return " ".join((self.kind, *map(str, qubits)))
+        return fmt % (self.kind, *qubits)
 
 
 class Circuit(namedtuple("Circuit", "n_main n_anc gates")):
@@ -211,7 +221,7 @@ class Metrics(namedtuple(
 
 def t_count(c: Circuit) -> int:
     """Number of t/tdg gates; t and tdg count alike."""
-    return sum(g.kind in T_KINDS for g in c.gates)
+    return sum(map(T_KINDS.__contains__, map(itemgetter(0), c.gates)))
 
 
 def t_depth_as_written(c: Circuit) -> int:

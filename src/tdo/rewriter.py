@@ -26,13 +26,27 @@ shared ancilla pool yields a pool of ceil(t/S) and a T-depth of exactly
 ceil(t / ceil(t/S)), the number of segments, which is at most S
 (`segment_count`). So the output's T-depth is known before the output is
 built.
+
+The pass makes one C-level scan of the input for its T positions, and the
+segments are cut from those: L is the segment with each T slot
+overwritten by its copy, L^-1 the memoised inverses of the reversed
+segment with the same slots overwritten (a cx copy is its own inverse),
+and A2 the segment with the T slots left out. Equal output gates are one
+object: each input value is inverted once per call, and with more than
+one segment each copy and stage gate is built once per value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress, count, repeat
+from operator import itemgetter
 
-from .circuit import GATES, T_KINDS, Circuit, DomainError, Gate, invert_gates, t_count
+from .circuit import GATES, T_KINDS, Circuit, DomainError, Gate, GateMemo
+
+_kind = itemgetter(0)
+_NON_T_KINDS = frozenset(GATES) - T_KINDS
 
 
 class NotAlmostClassical(DomainError):
@@ -49,28 +63,6 @@ class NotAlmostClassical(DomainError):
 def validate_gateset(c: Circuit) -> list[int]:
     """Positions of gates with non-monomial matrices; empty iff rewritable."""
     return [i for i, gate in enumerate(c.gates) if GATES[gate.kind].action is None]
-
-
-def _rewrite_segment(
-    gates: Sequence[Gate], pool: tuple[int, ...], out: list[Gate]
-) -> None:
-    """Append one segment, rewritten to one T stage against the pool, to out."""
-    prefix: list[Gate] = []
-    stage: list[Gate] = []
-    remainder: list[Gate] = []
-    for gate in gates:
-        if gate.kind in T_KINDS:
-            ancilla = pool[len(stage)]
-            prefix.append(Gate("cx", (gate.qubits[0], ancilla)))
-            stage.append(Gate(gate.kind, (ancilla,)))
-        else:
-            prefix.append(gate)
-            remainder.append(gate)
-    if stage:
-        out += prefix
-        out += stage
-        out += invert_gates(prefix)
-    out += remainder
 
 
 def _quota(t: int, stages: int) -> int:
@@ -101,30 +93,46 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     """
     if stages < 1:
         raise ValueError("stage budget must be at least 1")
-    offenders = validate_gateset(c)
-    if offenders:
-        position = offenders[0]
-        raise NotAlmostClassical(c.gates[position].kind, position)
-
-    total_t = t_count(c)
-    if total_t == 0:
-        return c
-    quota = _quota(total_t, stages)
-    pool = tuple(range(c.width, c.width + quota))
-
     gates = c.gates
-    out: list[Gate] = []
-    start = 0
-    seen_t = 0
-    for i, gate in enumerate(gates):
-        if gate.kind in T_KINDS:
-            if seen_t == quota:
-                _rewrite_segment(gates[start:i], pool, out)
-                start = i
-                seen_t = 0
-            seen_t += 1
-    _rewrite_segment(gates[start:], pool, out)
-    return Circuit(c.n_main, c.n_anc + quota, tuple(out))
+    if any(GATES[kind].action is None for kind in set(map(_kind, gates))):
+        position = validate_gateset(c)[0]
+        raise NotAlmostClassical(gates[position].kind, position)
+
+    # T positions as machine ints: a list would keep an int object per T
+    # alive through the output check.
+    t_at = array("q", compress(count(), map(T_KINDS.__contains__, map(_kind, gates))))
+    if not t_at:
+        return c
+    quota = _quota(len(t_at), stages)
+    out = chain.from_iterable(_segments(gates, t_at, quota, c.width))
+    return Circuit(c.n_main, c.n_anc + quota, out)
+
+
+def _segments(
+    gates: tuple[Gate, ...], t_at: array, quota: int, width: int
+) -> Iterator[Iterable[Gate]]:
+    """L, M, L^-1 and A2 of each segment of `quota` T gates, in order."""
+    pool = tuple(range(width, width + quota))  # one int object per wire, shared
+    starts = t_at[quota::quota]
+    # One segment makes every copy and stage gate distinct; several share
+    # them, one object per value, through a per-call table.
+    make = GateMemo(Gate._make).__getitem__ if starts else Gate._make
+    inverse_of = GateMemo(Gate.inverse).__getitem__
+    for begin, end, first in zip([0, *starts], [*starts, len(gates)], count(0, quota)):
+        ts = t_at[first:first + quota]
+        segment = gates[begin:end]
+        t_gates = list(map(gates.__getitem__, ts))
+        wires = map(itemgetter(0), map(itemgetter(1), t_gates))
+        prefix = list(segment)
+        inverse = list(map(inverse_of, reversed(segment)))
+        # Each T's slot in L and in L^-1 holds its cx copy, its own inverse.
+        for p, copy in zip(ts, map(make, zip(repeat("cx"), zip(wires, pool)))):
+            prefix[p - begin] = copy
+            inverse[end - 1 - p] = copy
+        yield prefix
+        yield map(make, zip(map(_kind, t_gates), zip(pool)))
+        yield inverse
+        yield compress(segment, map(_NON_T_KINDS.__contains__, map(_kind, segment)))
 
 
 def rewrite_tdepth1(c: Circuit) -> Circuit:

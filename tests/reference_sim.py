@@ -21,17 +21,26 @@ adjoints, unitarity and shape checks), phase diagonals, the k-controlled
 X matrix, the single-qubit Clifford group, state norms, the exact sign of
 a RealValue, the plain per-wire loop of the scheduled T-depth metric, and
 a layer-by-layer depth.
+
+Two compile-path references close the file: `rewrite_budgeted` is the
+rewriter's plain segment loop (a Python pass per gate, a fresh cx copy and
+stage gate per T), and `parse` tokenises every line with the column-keeping
+regular expression, with no per-line memo and no split() fast path. Both
+raise the library's own exceptions, so refusals compare by fields.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from tdo.circuit import GATES, Circuit, Gate
+from tdo.circuit import GATES, T_KINDS, Circuit, Gate, decimal_too_long, is_ascii_decimal
 from tdo.ring import IM, INV_SQRT2, MINUS_ONE, OMEGA, ONE, ZERO, RealValue, RingScalar, omega_pow
+from tdo.rewriter import NotAlmostClassical
 from tdo.sim import AncillaContractViolated, ExactMatrix, ExactState, TooWide, WidthMismatch
+from tdo.text import SourceError
 
 _PHASES = {
     "z": MINUS_ONE,
@@ -376,3 +385,121 @@ def depth(c: Circuit) -> int:
             layers.append(set())
         layers[k] |= wires
     return len(layers)
+
+
+def _rewrite_segment(gates: Sequence[Gate], pool: tuple[int, ...], out: list[Gate]) -> None:
+    prefix: list[Gate] = []
+    stage: list[Gate] = []
+    remainder: list[Gate] = []
+    for gate in gates:
+        if gate.kind in T_KINDS:
+            ancilla = pool[len(stage)]
+            prefix.append(Gate("cx", (gate.qubits[0], ancilla)))
+            stage.append(Gate(gate.kind, (ancilla,)))
+        else:
+            prefix.append(gate)
+            remainder.append(gate)
+    if stage:
+        out += prefix
+        out += stage
+        out += [g.inverse() for g in reversed(prefix)]
+    out += remainder
+
+
+def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
+    """Segments of ceil(t/stages) T gates, each as L, M, L^-1, A2 on one pool."""
+    if stages < 1:
+        raise ValueError("stage budget must be at least 1")
+    for position, gate in enumerate(c.gates):
+        if GATES[gate.kind].action is None:
+            raise NotAlmostClassical(gate.kind, position)
+    total_t = sum(1 for gate in c.gates if gate.kind in T_KINDS)
+    if total_t == 0:
+        return c
+    quota = -(-total_t // stages)
+    pool = tuple(range(c.width, c.width + quota))
+    gates = c.gates
+    out: list[Gate] = []
+    start = 0
+    seen_t = 0
+    for i, gate in enumerate(gates):
+        if gate.kind in T_KINDS:
+            if seen_t == quota:
+                _rewrite_segment(gates[start:i], pool, out)
+                start = i
+                seen_t = 0
+            seen_t += 1
+    _rewrite_segment(gates[start:], pool, out)
+    return Circuit(c.n_main, c.n_anc + quota, tuple(out))
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _parse_int(token: str, line: int, column: int) -> int:
+    if not is_ascii_decimal(token):
+        raise SourceError(line, column, f"malformed integer {token!r}")
+    if too_long := decimal_too_long(token):
+        raise SourceError(line, column, f"integer {too_long}")
+    return int(token)
+
+
+def parse(text: str) -> Circuit:
+    """Circuit text, every line tokenised with its columns; SourceError on refusal."""
+    n_main: int | None = None
+    n_anc = 0
+    gates: list[Gate] = []
+    ancillas_allowed = True
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+        if not tokens:
+            continue
+        (word, col), args = tokens[0], tokens[1:]
+        if n_main is None:
+            if word != "qubits":
+                raise SourceError(lineno, col, "expected 'qubits N' header")
+            if len(args) != 1:
+                raise SourceError(lineno, col, "'qubits' takes exactly one integer")
+            n_main = _parse_int(args[0][0], lineno, args[0][1])
+            continue
+        if word == "qubits":
+            raise SourceError(lineno, col, "duplicate 'qubits' header")
+        if word == "ancillas":
+            if not ancillas_allowed:
+                raise SourceError(
+                    lineno, col, "'ancillas' must directly follow the qubits header"
+                )
+            if len(args) != 1:
+                raise SourceError(lineno, col, "'ancillas' takes exactly one integer")
+            n_anc = _parse_int(args[0][0], lineno, args[0][1])
+            ancillas_allowed = False
+            continue
+        ancillas_allowed = False
+        spec = GATES.get(word)
+        if spec is None:
+            raise SourceError(lineno, col, f"unknown mnemonic {word!r}")
+        arity = spec.arity
+        if len(args) < arity:
+            raise SourceError(
+                lineno, col, f"gate '{word}' expects {arity} qubit indices, got {len(args)}"
+            )
+        if len(args) > arity:
+            raise SourceError(
+                lineno, args[arity][1], f"gate '{word}' expects {arity} qubit indices"
+            )
+        width = n_main + n_anc
+        qubits = []
+        for token, tcol in args:
+            q = _parse_int(token, lineno, tcol)
+            if q >= width:
+                raise SourceError(
+                    lineno, tcol, f"qubit index {q} out of range for width {width}"
+                )
+            if q in qubits:
+                raise SourceError(lineno, tcol, f"repeated qubit index {q}")
+            qubits.append(q)
+        gates.append(Gate(word, tuple(qubits)))
+    if n_main is None:
+        raise SourceError(1, 1, "missing 'qubits N' header")
+    return Circuit(n_main, n_anc, tuple(gates))

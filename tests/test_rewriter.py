@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tdo.circuit import T_KINDS, Circuit, t_count, t_depth_scheduled
+from tdo.circuit import GATES, T_KINDS, Circuit, Gate, t_count, t_depth_scheduled
 from tdo.constructions import toffoli_ammr, toffoli_nc
 from tdo.rewriter import (
     NotAlmostClassical,
@@ -13,6 +14,7 @@ from tdo.rewriter import (
     validate_gateset,
 )
 from tdo.sim import equivalence_phase, induced_unitary
+from tdo.text import emit, parse
 
 import reference_sim as ref
 from conftest import gate, random_monomial_circuit
@@ -112,3 +114,67 @@ def test_random_budgeted_rewrites(rng):
         assert t_depth_scheduled(out) <= 2
         assert out.n_anc == -(-t_count(c) // 2)
         assert induced_unitary(out) == induced_unitary(c)
+
+
+@st.composite
+def _monomial_inputs(draw):
+    """A monomial circuit with input ancillas, often T-free, T gates often at an end."""
+    n_main = draw(st.integers(1, 3))
+    n_anc = draw(st.integers(0, 2))
+    width = n_main + n_anc
+    kinds = sorted(k for k, spec in GATES.items() if spec.action is not None and spec.arity <= width)
+    gate = st.sampled_from(kinds).flatmap(
+        lambda k: st.permutations(range(width)).map(lambda p: Gate(k, tuple(p[:GATES[k].arity])))
+    )
+    t_gate = st.builds(Gate, st.sampled_from(sorted(T_KINDS)), st.tuples(st.integers(0, width - 1)))
+    gates = draw(st.lists(gate, max_size=24))
+    if draw(st.booleans()):
+        gates = [g for g in gates if g.kind not in T_KINDS]
+    gates = draw(st.lists(t_gate, max_size=2)) + gates + draw(st.lists(t_gate, max_size=2))
+    return Circuit(n_main, n_anc, tuple(gates))
+
+
+@given(_monomial_inputs(), st.data())
+def test_rewrite_matches_the_reference_segment_loop(c, data):
+    stages = data.draw(st.integers(1, t_count(c) + 2))
+    out = rewrite_budgeted(c, stages)
+    want = ref.rewrite_budgeted(c, stages)
+    assert out == want
+    assert emit(out) == emit(want)
+
+
+@given(_monomial_inputs(), st.data())
+def test_rewrite_refuses_h_like_the_reference(c, data):
+    gates = list(c.gates)
+    for _ in range(data.draw(st.integers(1, 2))):
+        gates.insert(data.draw(st.integers(0, len(gates))), Gate("h", (0,)))
+    c = c._replace(gates=tuple(gates))
+    stages = data.draw(st.integers(1, t_count(c) + 2))
+    with pytest.raises(NotAlmostClassical) as got:
+        rewrite_budgeted(c, stages)
+    with pytest.raises(NotAlmostClassical) as want:
+        ref.rewrite_budgeted(c, stages)
+    assert (got.value.kind, got.value.position) == (want.value.kind, want.value.position)
+    assert str(got.value) == str(want.value)
+
+
+def test_multi_segment_rewrite_holds_one_object_per_distinct_gate(rng):
+    # parse gives one object per distinct input line. No input kind here has
+    # a different inverse kind that is also in the input (s but no sdg), so
+    # an inverse never equals an input gate object it could have been.
+    lines = ["qubits 3", "ancillas 1"]
+    for _ in range(300):
+        kind = rng.choice(["t", "tdg", "s", "cx", "ccz"])
+        lines.append(" ".join([kind, *map(str, rng.sample(range(4), GATES[kind].arity))]))
+    c = parse("\n".join(lines))
+    for stages in (2, 5, 40):
+        gates = rewrite_budgeted(c, stages).gates
+        assert len(set(map(id, gates))) == len(set(gates))
+
+
+def test_equal_input_gates_share_one_inverse():
+    # Fresh equal gates in: each value's inverse is one object out.
+    c = Circuit(2, 0, tuple(Gate(k, (q,)) for _ in range(3) for k in ("s", "t") for q in (0, 1)))
+    out = rewrite_budgeted(c, 3)
+    inverses = [g for g in out.gates if g.kind == "sdg"]
+    assert len(inverses) == 6 and len(set(map(id, inverses))) == len(set(inverses)) == 2

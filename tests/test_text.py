@@ -1,11 +1,14 @@
 """Parser and emitter: round trips and positioned errors."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdo.circuit import GATES, Circuit
 from tdo.text import SourceError, emit, parse
 
+import reference_sim as ref
 from conftest import gate
 from test_circuit import circuits
 
@@ -146,3 +149,61 @@ def test_shared_lines_parse_as_if_each_were_new(text):
     # gate is shared; the circuit or the error must be the same.
     tagged = "\n".join(f"{line} #{i}" for i, line in enumerate(text.split("\n")))
     assert _outcome(text) == _outcome(tagged)
+
+
+# Near the int-string limit: the longest decimal parse accepts, and one more.
+# Without a limit (0, or before 3.10.7) parse accepts any length.
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_MOST_DIGITS = _INT_LIMIT - 1 if _INT_LIMIT else 4299
+_EDGE_WORDS = st.sampled_from([
+    "qubits", "ancillas", "cx", "t", "ccz", "0", "1", "2", "3", "01", "-1", "+2",
+    "\u0661", "\u00b9", "\uff12", "0" * _MOST_DIGITS, "0" * (_MOST_DIGITS + 1),
+    "1" * _MOST_DIGITS,
+])
+# Whitespace that str.split() and the tokeniser's \S+ must both treat as
+# a separator: the \x1c-\x1f separators, no-break and ideographic spaces.
+_EDGE_GAPS = st.sampled_from([" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x1f", "\x85", "\u00a0", "\u2003", "\u3000", "  "])
+
+
+@st.composite
+def _edge_lines(draw):
+    words = draw(st.lists(_EDGE_WORDS, min_size=1, max_size=4))
+    gaps = draw(st.lists(_EDGE_GAPS, min_size=len(words) + 1, max_size=len(words) + 1))
+    return "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
+
+
+edge_texts = st.lists(
+    st.one_of(_lines(), _edge_lines(), st.sampled_from(["qubits 4", "ancillas 1", ""])),
+    max_size=8,
+).map(lambda lines: "\n".join(["qubits 4", *lines]))
+
+
+def _reference_outcome(text):
+    try:
+        return ref.parse(text)
+    except SourceError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+@settings(max_examples=400)
+@given(st.one_of(source_texts, repeating_texts, edge_texts))
+def test_parse_matches_the_reference_tokeniser(text):
+    assert _outcome(text) == _reference_outcome(text)
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1f", "\u00a0", "\u3000"])
+def test_unicode_whitespace_separates_tokens_on_both_paths(sep):
+    text = f"qubits 2\ncx{sep}0{sep}1\ncx 1{sep}\u0661\n"
+    assert _outcome(text) == _reference_outcome(text) == (3, 6, "malformed integer '\u0661'")
+    assert parse(f"qubits 2\ncx{sep}0{sep}1\n").gates == (gate("cx", 0, 1),)
+
+
+@pytest.mark.parametrize("digits", [_MOST_DIGITS, _MOST_DIGITS + 1])
+def test_gate_indices_at_the_int_string_limit(digits):
+    text = f"qubits 2\nt 1\ncx 1 {'0' * digits}\n"
+    assert _outcome(text) == _reference_outcome(text)
+    if _INT_LIMIT and digits > _MOST_DIGITS:
+        assert _outcome(text)[:2] == (3, 6)
+    else:
+        assert _outcome(text).gates[1] == gate("cx", 1, 0)
