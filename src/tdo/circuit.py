@@ -135,6 +135,7 @@ GATES: dict[str, GateKind] = {
 }
 
 T_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.is_t)
+MONOMIAL_KINDS = frozenset(kind for kind, spec in GATES.items() if spec.action is not None)
 
 
 # Gate text by arity: "%s" prints any wire as str() does, so a message

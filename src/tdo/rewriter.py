@@ -43,7 +43,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
 
-from .circuit import GATES, T_KINDS, Circuit, DomainError, Gate, GateMemo
+from .circuit import GATES, MONOMIAL_KINDS, T_KINDS, Circuit, DomainError, Gate, GateMemo
 
 _kind = itemgetter(0)
 _NON_T_KINDS = frozenset(GATES) - T_KINDS
@@ -62,7 +62,7 @@ class NotAlmostClassical(DomainError):
 
 def validate_gateset(c: Circuit) -> list[int]:
     """Positions of gates with non-monomial matrices; empty iff rewritable."""
-    return [i for i, gate in enumerate(c.gates) if GATES[gate.kind].action is None]
+    return [i for i, gate in enumerate(c.gates) if gate.kind not in MONOMIAL_KINDS]
 
 
 def _quota(t: int, stages: int) -> int:
@@ -94,7 +94,7 @@ def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
     if stages < 1:
         raise ValueError("stage budget must be at least 1")
     gates = c.gates
-    if any(GATES[kind].action is None for kind in set(map(_kind, gates))):
+    if not MONOMIAL_KINDS.issuperset(map(_kind, gates)):
         position = validate_gateset(c)[0]
         raise NotAlmostClassical(gates[position].kind, position)
 

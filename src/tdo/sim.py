@@ -78,7 +78,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .circuit import GATES, Circuit, DomainError, Gate, width_cap
+from .circuit import GATES, MONOMIAL_KINDS, Circuit, DomainError, Gate, width_cap
 from .packed import ROTATE, run_packed, start_pattern
 
 
@@ -373,7 +373,7 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows")):
 
 
 def _h_free(c: Circuit) -> bool:
-    return all(GATES[gate.kind].action is not None for gate in c.gates)
+    return all(gate.kind in MONOMIAL_KINDS for gate in c.gates)
 
 
 def _main_inputs(c: Circuit) -> int:

@@ -12,8 +12,9 @@ parse(emit(c)) == c and emit(parse(text)) normalises text.
 
 Work that depends only on a gate is done once per distinct value: parse
 checks each distinct gate line once, and emit formats each gate value once.
-A well-formed gate line is read with str.split(); any other line goes
-through the tokeniser that records columns, which finds the first error.
+Every line is split into words with str.split() and checked by one set of
+rules, in one order; a refusal names the word at fault, and only then is
+the line tokenised again to turn that word into its 1-based column.
 """
 
 from __future__ import annotations
@@ -36,29 +37,46 @@ class SourceError(DomainError):
         self.message = message
 
 
-def _parse_int(token: str, line: int, column: int) -> int:
+class _Refusal(Exception):
+    """A refused line; args are the index of the word at fault and the message."""
+
+
+def _int(words: list[str], i: int) -> int:
+    token = words[i]
     if not is_ascii_decimal(token):
-        raise SourceError(line, column, f"malformed integer {token!r}")
+        raise _Refusal(i, f"malformed integer {token!r}")
     if too_long := decimal_too_long(token):
-        raise SourceError(line, column, f"integer {too_long}")
+        raise _Refusal(i, f"integer {too_long}")
     return int(token)
 
 
-def _plain_gate(words: list[str], width: int) -> Gate | None:
-    """The gate a whitespace-split line spells, or None unless it is well formed.
+def _header(words: list[str]) -> int:
+    """The integer of a `qubits N` or `ancillas M` line."""
+    if len(words) != 2:
+        raise _Refusal(0, f"'{words[0]}' takes exactly one integer")
+    return _int(words, 1)
 
-    None sends the line to parse's positioned path, which finds its error.
-    """
-    spec = GATES.get(words[0]) if words else None
-    if spec is None or len(words) != spec.arity + 1:
-        return None
-    digits = "".join(words[1:])
-    if not is_ascii_decimal(digits) or decimal_too_long(digits):
-        return None
-    qubits = tuple(map(int, words[1:]))
-    if max(qubits) >= width or len(set(qubits)) != len(qubits):
-        return None
-    return Gate._make((words[0], qubits))
+
+def _gate(words: list[str], width: int) -> Gate:
+    """The gate a line's words spell on `width` wires; Circuit checks it again."""
+    kind = words[0]
+    spec = GATES.get(kind)
+    if spec is None:
+        raise _Refusal(0, f"unknown mnemonic {kind!r}")
+    arity = spec.arity
+    if len(words) <= arity:
+        raise _Refusal(0, f"gate '{kind}' expects {arity} qubit indices, got {len(words) - 1}")
+    if len(words) > arity + 1:
+        raise _Refusal(arity + 1, f"gate '{kind}' expects {arity} qubit indices")
+    qubits: list[int] = []
+    for i in range(1, arity + 1):
+        q = _int(words, i)
+        if q >= width:
+            raise _Refusal(i, f"qubit index {q} out of range for width {width}")
+        if q in qubits:
+            raise _Refusal(i, f"repeated qubit index {q}")
+        qubits.append(q)
+    return Gate(kind, tuple(qubits))
 
 
 def parse(text: str) -> Circuit:
@@ -67,7 +85,7 @@ def parse(text: str) -> Circuit:
     n_anc = 0
     gates: list[Gate] = []
     ancillas_allowed = True
-    # Raw gate line -> its Gate, so a repeated line is not tokenised again.
+    # Raw gate line -> its Gate, so a repeated line is not read again.
     # A gate line fixes the width, so a hit parses exactly as before.
     parsed: dict[str, Gate] = {}
 
@@ -77,67 +95,30 @@ def parse(text: str) -> Circuit:
             gates.append(gate)
             continue
         body = raw.split("#", 1)[0]
-        if n_main is not None:
-            gate = _plain_gate(body.split(), n_main + n_anc)
-            if gate is not None:
+        words = body.split()
+        if not words:
+            continue
+        try:
+            if n_main is None:
+                if words[0] != "qubits":
+                    raise _Refusal(0, "expected 'qubits N' header")
+                n_main = _header(words)
+            elif words[0] == "qubits":
+                raise _Refusal(0, "duplicate 'qubits' header")
+            elif words[0] == "ancillas":
+                if not ancillas_allowed:
+                    raise _Refusal(0, "'ancillas' must directly follow the qubits header")
+                n_anc = _header(words)
                 ancillas_allowed = False
-                parsed[raw] = gate
+            else:
+                ancillas_allowed = False
+                gate = parsed[raw] = _gate(words, n_main + n_anc)
                 gates.append(gate)
-                continue
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
-        if not tokens:
-            continue
-        (word, col), args = tokens[0], tokens[1:]
-
-        if n_main is None:
-            if word != "qubits":
-                raise SourceError(lineno, col, "expected 'qubits N' header")
-            if len(args) != 1:
-                raise SourceError(lineno, col, "'qubits' takes exactly one integer")
-            n_main = _parse_int(args[0][0], lineno, args[0][1])
-            continue
-
-        if word == "qubits":
-            raise SourceError(lineno, col, "duplicate 'qubits' header")
-
-        if word == "ancillas":
-            if not ancillas_allowed:
-                raise SourceError(
-                    lineno, col, "'ancillas' must directly follow the qubits header"
-                )
-            if len(args) != 1:
-                raise SourceError(lineno, col, "'ancillas' takes exactly one integer")
-            n_anc = _parse_int(args[0][0], lineno, args[0][1])
-            ancillas_allowed = False
-            continue
-
-        ancillas_allowed = False
-        # Positioned checks for outside input; Circuit checks each gate again.
-        spec = GATES.get(word)
-        if spec is None:
-            raise SourceError(lineno, col, f"unknown mnemonic {word!r}")
-        arity = spec.arity
-        if len(args) < arity:
-            raise SourceError(
-                lineno, col, f"gate '{word}' expects {arity} qubit indices, got {len(args)}"
-            )
-        if len(args) > arity:
-            raise SourceError(
-                lineno, args[arity][1], f"gate '{word}' expects {arity} qubit indices"
-            )
-        width = n_main + n_anc
-        qubits = []
-        for token, tcol in args:
-            q = _parse_int(token, lineno, tcol)
-            if q >= width:
-                raise SourceError(
-                    lineno, tcol, f"qubit index {q} out of range for width {width}"
-                )
-            if q in qubits:
-                raise SourceError(lineno, tcol, f"repeated qubit index {q}")
-            qubits.append(q)
-        gate = parsed[raw] = Gate(word, tuple(qubits))
-        gates.append(gate)
+        except _Refusal as refusal:
+            word, message = refusal.args
+            # str.split() and \S+ agree on whitespace: word i is match i.
+            starts = [m.start() for m in _TOKEN.finditer(body)]
+            raise SourceError(lineno, starts[word] + 1, message) from None
 
     if n_main is None:
         raise SourceError(1, 1, "missing 'qubits N' header")

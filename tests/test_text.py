@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdo.circuit import GATES, Circuit
 from tdo.text import SourceError, emit, parse
@@ -81,6 +81,22 @@ def test_repeated_bad_line_fails_at_its_first_occurrence():
         parse("qubits 2\ncx 0 1\ncx 1 1\ncx 0 1\ncx 1 1\n")
     err = excinfo.value
     assert (err.line, err.column, err.message) == (3, 6, "repeated qubit index 1")
+
+
+class _NoColumns:
+    def finditer(self, body):
+        raise AssertionError(f"a column was computed for {body!r}")
+
+
+def test_a_well_formed_file_computes_no_column(monkeypatch):
+    monkeypatch.setattr("tdo.text._TOKEN", _NoColumns())
+    source = (
+        "# a header comment\r\nqubits\t3\r\nancillas 2\t# the pool\r\n\r\n"
+        "cx\t0 3\r\nt 3\r\ncx\t0 3\r\nt 3\r\n\t\r\n"
+    )
+    c = parse(source)
+    assert (c.n_main, c.n_anc) == (3, 2)
+    assert c.gates == (gate("cx", 0, 3), gate("t", 3)) * 2
 
 
 def test_emit_parse_normalises_text():
@@ -179,6 +195,34 @@ edge_texts = st.lists(
 ).map(lambda lines: "\n".join(["qubits 4", *lines]))
 
 
+# A refused word after each separator, at each word a refusal can name:
+# word 0 (a missing header; an unknown mnemonic), the extra word arity + 1,
+# and the second and third qubit (malformed, too long, out of range, repeated).
+_TOO_LONG = "1" * (_MOST_DIGITS + 1)
+_REFUSED_LINES = [
+    ["frob", "0"],
+    ["cx", "0", "1", "2"],
+    *(["ccx", "0", bad, "2"] for bad in ["-1", _TOO_LONG, "4", "0"]),
+    *(["ccx", "0", "1", bad] for bad in ["-1", _TOO_LONG, "4", "1"]),
+]
+_REFUSED_TEXTS = [
+    text
+    for sep in ["\t", "\x1c", "\u00a0", "\u3000"]
+    for text in [
+        f"{sep}cx{sep}0{sep}1",
+        *(f"qubits 4\n{sep}{sep.join(words)}" for words in _REFUSED_LINES),
+    ]
+]
+
+
+def _with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
 def _reference_outcome(text):
     try:
         return ref.parse(text)
@@ -186,6 +230,7 @@ def _reference_outcome(text):
         return (exc.line, exc.column, exc.message)
 
 
+@_with_examples(_REFUSED_TEXTS)
 @settings(max_examples=400)
 @given(st.one_of(source_texts, repeating_texts, edge_texts))
 def test_parse_matches_the_reference_tokeniser(text):
