@@ -6,24 +6,33 @@ also writes exactly one JSON report line to stderr with the shape
 command line is refused before its subcommand is known. Exit status:
 0 success; 1 for every refusal, each a `DomainError` reported as its
 message and its own fields (a command line argparse refuses among them),
-and for running out of memory; 2 only for a file that cannot be read.
-Output is byte-identical for identical inputs.
+for running out of memory, and for stdout refusing the command's text
+(`cannot write output: <reason>`, say when the reader of a pipe has
+exited); 2 only for a file that cannot be read. Output is byte-identical
+for identical inputs.
 
 The `tdo` process runs with the cyclic garbage collector off (see
 `main_entry`): a command makes no cyclic garbage worth freeing before it
-exits, and each collection would walk every gate it holds.
+exits, and each collection would walk every gate it holds. For the same
+reason `main_entry` freezes the heap once the command has returned: the
+interpreter still runs one full collection while it shuts down, which
+would walk every object the process is about to drop.
 
-Each command loads only the modules it runs, on first use: `verify` and
-the simulating `emit`s (`add-control`, `controlled-t`) import `tdo.sim` and
-its `tdo.packed` kernel but no ring, `obstruct` imports `tdo.obstruction`,
-which brings in `tdo.sim` and `tdo.ring`, and the other commands load none.
+Each command loads only the modules it runs, on first use: `emit` imports
+`tdo.constructions`, `rewrite` imports `tdo.rewriter`, `verify` and the
+simulating `emit`s (`add-control`, `controlled-t`) import `tdo.sim` and its
+`tdo.packed` kernel but no ring, `obstruct` imports `tdo.obstruction`,
+which brings in `tdo.sim` and `tdo.ring`, and `parse` and `metrics` load
+none of these.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
+import os
 import sys
 
 from .circuit import (
@@ -32,8 +41,6 @@ from .circuit import (
 # No command calls it; the name stays bound because perfbench/tracing.py
 # wraps tdo.cli.t_depth_scheduled.
 from .circuit import t_depth_scheduled  # noqa: F401
-from .constructions import CONSTRUCTIONS, build
-from .rewriter import rewrite_budgeted, segment_count
 from .text import SourceError, emit, parse
 
 _BUILTIN_CIRCUITS = {
@@ -41,8 +48,21 @@ _BUILTIN_CIRCUITS = {
 }
 
 
-# Entry points into the layers that verify and obstruct load on first call.
-# They stay names of this module, where perfbench/tracing.py wraps them.
+# Entry points into the layers that emit, rewrite, verify and obstruct load
+# on first call. They stay names of this module, where perfbench/tracing.py
+# wraps them.
+def build(name: str, *, controls: int | None = None, use_ancilla: bool = True) -> Circuit:
+    from .constructions import build
+
+    return build(name, controls=controls, use_ancilla=use_ancilla)
+
+
+def rewrite_budgeted(c: Circuit, stages: int) -> Circuit:
+    from .rewriter import rewrite_budgeted
+
+    return rewrite_budgeted(c, stages)
+
+
 def equivalence_phase(c1: Circuit, c2: Circuit) -> int | None:
     from .sim import equivalence_phase
 
@@ -62,8 +82,20 @@ class _UsageError(DomainError):
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises _UsageError where argparse would print usage and exit 2."""
 
+    # The `emit` parser's NAME argument, whose help lists the constructions.
+    construction_name: argparse.Action | None = None
+
     def error(self, message: str):
         raise _UsageError(message)
+
+    def format_help(self) -> str:
+        # Filled in here, not when the parser is built, so that only a
+        # command line asking for help loads the construction library.
+        if self.construction_name is not None:
+            from .constructions import CONSTRUCTIONS
+
+            self.construction_name.help = ", ".join(CONSTRUCTIONS)
+        return super().format_help()
 
 
 class _NotUtf8(DomainError):
@@ -125,6 +157,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> tuple[dict, str | None]:
     c = _read_circuit(args.file)
     if args.stages < 1:
         raise _UsageError("--stages must be at least 1")
+    from .rewriter import segment_count
+
     out = rewrite_budgeted(c, args.stages)
     payload = {
         "stages": args.stages,
@@ -181,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit", help="print a library construction")
     p.set_defaults(run=_cmd_emit)
-    p.add_argument("name", metavar="NAME", help=", ".join(CONSTRUCTIONS))
+    p.construction_name = p.add_argument("name", metavar="NAME")
     p.add_argument("--controls", type=_count, default=None, help="control count for multi-controlled-x")
     p.add_argument("--no-ancilla", action="store_true", help="choose the ancilla-free variant")
     p.add_argument("--json", action="store_true", help="include metrics in the report")
@@ -230,10 +264,39 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         _report(args.command, "error", {"message": f"cannot read {exc.filename}: {exc.strerror}"}, stderr)
         return 2
-    if text is not None:
-        stdout.write(text)
+    try:
+        if text is not None:
+            _write_all(stdout, text)
+    except OSError as exc:
+        _report(args.command, "error", {"message": f"cannot write output: {exc.strerror}"}, stderr)
+        return 1
     _report(args.command, "ok", payload, stderr)
     return 0
+
+
+def _write_all(stream, text: str) -> None:
+    """Write all of `text` to `stream`, or raise OSError.
+
+    A text stream over a file is written below its buffers. Under
+    PYTHONUNBUFFERED its binary layer is a raw file, which may take part of
+    a write and return the count, and the text layer drops the rest without
+    an error; here the rest is written again. Nothing is left buffered after
+    a failure, so the flush at exit has nothing to fail on.
+    """
+    if stream is None:  # Python found file descriptor 1 closed at start-up
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        stream.write(text)
+        return
+    stream.flush()
+    raw = getattr(binary, "raw", binary)
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = raw.write(data)
+        if written is None:  # a non-blocking file that is full
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        data = data[written:]
 
 
 def main_entry() -> None:
@@ -243,9 +306,13 @@ def main_entry() -> None:
     # whole in-process run of each one (error exits too) left only the 242
     # objects of argparse's parser unreachable. Disabled here, at the
     # process entry, so library callers and in-process tests of `main` keep
-    # the collector.
+    # the collector. Interpreter shutdown still runs one full collection,
+    # over everything `site` and the command left alive; frozen objects are
+    # outside it, and the process frees its memory when it exits anyway.
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

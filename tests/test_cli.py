@@ -118,13 +118,17 @@ def test_parse_any_bytes_reports_once(tmp_path_factory, data):
 _ADDRESS_SPACE = 1 << 30
 
 
+def child_env() -> dict:
+    """This environment, with the tested `tdo` first on a child's PYTHONPATH."""
+    src = str(Path(tdo.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_limited(argv, address_space=_ADDRESS_SPACE):
     """`python -m tdo.cli ARGV` in a child whose address space is capped (1 GiB by default)."""
-    src = str(Path(tdo.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "tdo.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)),
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -136,21 +140,57 @@ def run_limited(argv, address_space=_ADDRESS_SPACE):
 ], ids=["main_entry", "python-m"])
 def test_process_entry_runs_without_the_cycle_collector(entry):
     # The installed `tdo` script and `python -m tdo.cli` turn the collector
-    # off for the whole process; `main` called in-process leaves it on.
-    src = str(Path(tdo.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # off for the whole process, and freeze the heap before the exit-time
+    # collection; `main` called in-process leaves the collector on and
+    # freezes nothing.
     script = "\n".join([
         "import atexit, gc, runpy, sys",
         "from tdo import cli",
-        "atexit.register(lambda: print('collector', gc.isenabled()))",
+        "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0))",
         "sys.argv = ['tdo', 'emit', 'toffoli-tdepth1']",
         entry,
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "collector False"
+    assert proc.stdout.splitlines()[-1] == "collector False True"
+    frozen = gc.get_freeze_count()
     assert run(["emit", "toffoli-tdepth1"])[0] == 0
     assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_is_one_exit_1_line(unbuffered):
+    # About 3 MB of circuit text, far more than a pipe holds: the child is
+    # still writing when the reader goes. Unbuffered, stdout's binary layer
+    # is a raw file that takes part of a write and returns the count.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "tdo.cli", "emit", "multi-controlled-x", "--controls", "9000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10) == b"qubits 900"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    finally:
+        code = proc.wait(timeout=120)
+        proc.stderr.close()
+    assert code == 1, err
+    assert "Traceback" not in err
+    report = report_of(err)
+    assert report["command"] == "emit"
+    assert report["error"] == {"message": "cannot write output: Broken pipe"}
+
+
+def test_a_closed_stdout_is_one_exit_1_line():
+    proc = subprocess.run([sys.executable, "-m", "tdo.cli", "emit", "toffoli-nc"], stderr=subprocess.PIPE,
+                          text=True, env=child_env(), timeout=120, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert report_of(proc.stderr)["error"] == {"message": "cannot write output: Bad file descriptor"}
 
 
 @pytest.mark.parametrize("command", ["metrics", "rewrite"])
@@ -264,11 +304,30 @@ def test_metrics_report_line_is_pinned(argv, line):
     assert (code, err) == (0, line + "\n")
 
 
-def test_help_is_unchanged(capsys):
+# `tdo emit --help` at 80 columns, pinned from the parser that joined the
+# construction names when it was built; they are now joined only for help.
+EMIT_HELP = """\
+usage: tdo emit [-h] [--controls CONTROLS] [--no-ancilla] [--json] NAME
+
+positional arguments:
+  NAME                 toffoli-nc, toffoli-nc4, toffoli-ammr, ccz-tdepth1,
+                       toffoli-tdepth1, cc-minus-iz, cc-minus-iz-noanc, cc-
+                       minus-ix, add-control, multi-controlled-x, controlled-t
+
+options:
+  -h, --help           show this help message and exit
+  --controls CONTROLS  control count for multi-controlled-x
+  --no-ancilla         choose the ancilla-free variant
+  --json               include metrics in the report
+"""
+
+
+def test_help_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_:
         main(["emit", "--help"])
     assert exit_.value.code == 0
-    assert "toffoli-nc, toffoli-nc4," in capsys.readouterr().out
+    assert capsys.readouterr().out == EMIT_HELP
 
 
 def test_parse_echoes_canonical_text(tmp_path):
@@ -763,10 +822,10 @@ before = set(sys.modules)
 import tdo
 added = {"import": sorted(set(sys.modules) - before)}
 import tdo.cli
-for argv in json.loads(sys.argv[1]):
-    code = tdo.cli.main(argv, io.StringIO(), io.StringIO())
-    assert code == 0, argv
-    added[argv[0]] = sorted(set(sys.modules) - before)
+argv = json.loads(sys.argv[1])
+code = tdo.cli.main(argv, io.StringIO(), io.StringIO())
+assert code == 0, argv
+added["run"] = sorted(set(sys.modules) - before)
 print(json.dumps(added))
 """
 
@@ -777,17 +836,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     commands = [["parse", str(f)], ["metrics", str(f)],
                 ["emit", "multi-controlled-x", "--controls", "3"], ["rewrite", str(f)],
                 ["verify", str(f), str(f)], ["obstruct", "--builtin", "tht"]]
-    src = str(Path(tdo.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    added = json.loads(proc.stdout)
-    # The commands run in this order, so each list includes the ones before it.
-    assert [m for m in added["import"] if m.startswith("tdo")] == ["tdo"]
+    added = {}
+    for argv in commands:  # one interpreter each
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        footprint = json.loads(proc.stdout)
+        assert [m for m in footprint["import"] if m.startswith("tdo")] == ["tdo"]
+        added[argv[0]] = set(footprint["run"])
     simulation = {"tdo.sim", "tdo.packed", "tdo.ring", "tdo.obstruction"}
     for command in ("parse", "metrics", "emit", "rewrite"):
-        assert not simulation & set(added[command]), command
+        assert not simulation & added[command], command
+    for command in ("parse", "metrics", "verify", "obstruct"):
+        assert not {"tdo.constructions", "tdo.rewriter"} & added[command], command
+    assert "tdo.constructions" in added["emit"] and "tdo.rewriter" not in added["emit"]
+    assert "tdo.rewriter" in added["rewrite"] and "tdo.constructions" not in added["rewrite"]
     assert "tdo.sim" in added["verify"] and "tdo.obstruction" not in added["verify"]
     assert "tdo.obstruction" in added["obstruct"]
     for command, modules in added.items():
